@@ -1,9 +1,10 @@
 // Substrate performance. Two parts:
 //
 //  1. The parallel-substrate sweep (runs by default): serial-vs-parallel
-//     training and evaluation throughput at 1/2/4/hardware threads on the
-//     full scenario, verifying along the way that every thread count
-//     produces a bit-identical ExportTable() and accuracy table. Writes
+//     simulation, training and evaluation throughput at 1/2/4/hardware
+//     threads on the full scenario, verifying along the way that every
+//     thread count produces bit-identical simulated rows, ExportTable()
+//     and accuracy table. Writes
 //     results/bench_substrate_perf.csv and a BENCH_parallel.json summary
 //     in the working directory (the repo root when invoked as
 //     ./build/bench/bench_substrate_perf), seeding the perf trajectory.
@@ -29,6 +30,7 @@
 #include "core/tipsy_service.h"
 #include "scenario/scenario.h"
 #include "topo/generator.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 using namespace tipsy;
@@ -78,9 +80,12 @@ SweepInput BuildSweepInput(const bench::BenchOptions& options) {
 
 struct SweepPoint {
   std::size_t threads = 0;
+  double simulate_seconds = 0.0;
+  std::uint64_t rows_digest = 0;
   double train_seconds = 0.0;
   double eval_seconds = 0.0;
   std::size_t eval_reps = 0;
+  bool rows_identical = true;
   bool export_identical = true;
   bool accuracy_identical = true;
   std::vector<core::HistoricalModel::TupleExport> export_ap;
@@ -99,11 +104,39 @@ bool ExportEqual(const std::vector<core::HistoricalModel::TupleExport>& a,
   return true;
 }
 
+// Order-sensitive digest of every field of every simulated row.
+std::uint64_t DigestRow(std::uint64_t digest, const pipeline::AggRow& row) {
+  return util::HashCombine(
+      digest,
+      util::HashAll(row.hour, row.link.value(), row.src_asn.value(),
+                    row.src_prefix24.address().bits(),
+                    row.src_prefix24.length(), row.src_metro.value(),
+                    row.dest_region.value(),
+                    static_cast<int>(row.dest_service),
+                    row.dest_prefix.value(), row.bytes));
+}
+
 SweepPoint RunSweepPoint(const SweepInput& input, std::size_t threads) {
   using Clock = std::chrono::steady_clock;
   util::ScopedPool pool(threads);
   SweepPoint point;
   point.threads = threads;
+
+  // Simulation lane: the sweep window on a fresh world (construction and
+  // calibration untimed), digesting the rows in hand-off order.
+  {
+    scenario::Scenario world(input.cfg);
+    const auto simulate_start = Clock::now();
+    world.SimulateHours(
+        input.cfg.horizon,
+        [&](util::HourIndex, std::span<const pipeline::AggRow> rows) {
+          for (const auto& row : rows) {
+            point.rows_digest = DigestRow(point.rows_digest, row);
+          }
+        });
+    point.simulate_seconds =
+        std::chrono::duration<double>(Clock::now() - simulate_start).count();
+  }
 
   const auto train_start = Clock::now();
   core::TipsyService service(&input.world->wan(), &input.world->metros());
@@ -128,8 +161,8 @@ SweepPoint RunSweepPoint(const SweepInput& input, std::size_t threads) {
 
 void RunParallelSweep(const bench::BenchOptions& options) {
   bench::PrintHeader("substrate_perf",
-                     "parallel substrate: train/evaluate throughput by "
-                     "thread count");
+                     "parallel substrate: simulate/train/evaluate "
+                     "throughput by thread count");
   SweepInput input = BuildSweepInput(options);
   const std::size_t hw = util::ParallelConfig{}.Resolve();
   const unsigned cores = bench::HardwareConcurrency();
@@ -144,6 +177,7 @@ void RunParallelSweep(const bench::BenchOptions& options) {
     points.push_back(RunSweepPoint(input, threads));
     SweepPoint& point = points.back();
     if (points.size() > 1) {
+      point.rows_identical = point.rows_digest == points.front().rows_digest;
       point.export_identical =
           ExportEqual(point.export_ap, points.front().export_ap);
       for (std::size_t k = 0; k < core::AccuracyResult::kMaxK; ++k) {
@@ -154,6 +188,10 @@ void RunParallelSweep(const bench::BenchOptions& options) {
     }
   }
 
+  const double simulated_hours =
+      static_cast<double>(input.cfg.horizon.length());
+  const double base_simulate_rate =
+      simulated_hours / points.front().simulate_seconds;
   const double base_train_rate =
       static_cast<double>(input.train_rows) / points.front().train_seconds;
   const double base_eval_rate =
@@ -168,34 +206,48 @@ void RunParallelSweep(const bench::BenchOptions& options) {
   const bool speedups_measurable = cores > 1;
   const std::string skipped = "skipped: 1 core";
 
-  util::TextTable table({"Threads", "Train rows/s", "Eval cases/s",
-                         "Train speedup", "Eval speedup", "Identical"});
+  util::TextTable table({"Threads", "Sim hours/s", "Train rows/s",
+                         "Eval cases/s", "Sim speedup", "Train speedup",
+                         "Eval speedup", "Identical"});
   std::vector<std::vector<std::string>> csv{
-      {"threads", "train_rows_per_s", "eval_cases_per_s", "train_speedup",
-       "eval_speedup", "export_identical", "accuracy_identical"}};
+      {"threads", "simulate_hours_per_s", "train_rows_per_s",
+       "eval_cases_per_s", "simulate_speedup", "train_speedup",
+       "eval_speedup", "rows_identical", "export_identical",
+       "accuracy_identical"}};
   for (const SweepPoint& point : points) {
+    const double simulate_rate = simulated_hours / point.simulate_seconds;
     const double train_rate =
         static_cast<double>(input.train_rows) / point.train_seconds;
     const double eval_rate =
         static_cast<double>(input.eval.cases().size() * point.eval_reps) /
         point.eval_seconds;
-    const bool identical =
-        point.export_identical && point.accuracy_identical;
-    char train_rate_s[32], eval_rate_s[32], train_sp[16], eval_sp[16];
+    const bool identical = point.rows_identical &&
+                           point.export_identical && point.accuracy_identical;
+    char simulate_rate_s[32], train_rate_s[32], eval_rate_s[32];
+    char simulate_sp[16], train_sp[16], eval_sp[16];
+    std::snprintf(simulate_rate_s, sizeof simulate_rate_s, "%.1f",
+                  simulate_rate);
+    std::snprintf(simulate_sp, sizeof simulate_sp, "%.2fx",
+                  simulate_rate / base_simulate_rate);
     std::snprintf(train_rate_s, sizeof train_rate_s, "%.0f", train_rate);
     std::snprintf(eval_rate_s, sizeof eval_rate_s, "%.0f", eval_rate);
     std::snprintf(train_sp, sizeof train_sp, "%.2fx",
                   train_rate / base_train_rate);
     std::snprintf(eval_sp, sizeof eval_sp, "%.2fx",
                   eval_rate / base_eval_rate);
+    const std::string simulate_sp_label =
+        speedups_measurable ? simulate_sp : skipped;
     const std::string train_sp_label =
         speedups_measurable ? train_sp : skipped;
     const std::string eval_sp_label =
         speedups_measurable ? eval_sp : skipped;
-    table.AddRow({std::to_string(point.threads), train_rate_s, eval_rate_s,
+    table.AddRow({std::to_string(point.threads), simulate_rate_s,
+                  train_rate_s, eval_rate_s, simulate_sp_label,
                   train_sp_label, eval_sp_label, identical ? "yes" : "NO"});
-    csv.push_back({std::to_string(point.threads), train_rate_s,
-                   eval_rate_s, train_sp_label, eval_sp_label,
+    csv.push_back({std::to_string(point.threads), simulate_rate_s,
+                   train_rate_s, eval_rate_s, simulate_sp_label,
+                   train_sp_label, eval_sp_label,
+                   point.rows_identical ? "1" : "0",
                    point.export_identical ? "1" : "0",
                    point.accuracy_identical ? "1" : "0"});
   }
@@ -213,11 +265,14 @@ void RunParallelSweep(const bench::BenchOptions& options) {
     json << "  \"hardware_concurrency\": " << cores << ",\n";
     json << "  \"speedups_measurable\": "
          << (speedups_measurable ? "true" : "false") << ",\n";
+    json << "  \"simulated_hours\": " << input.cfg.horizon.length()
+         << ",\n";
     json << "  \"train_rows\": " << input.train_rows << ",\n";
     json << "  \"eval_cases\": " << input.eval.cases().size() << ",\n";
     json << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       const SweepPoint& point = points[i];
+      const double simulate_rate = simulated_hours / point.simulate_seconds;
       const double train_rate =
           static_cast<double>(input.train_rows) / point.train_seconds;
       const double eval_rate =
@@ -225,9 +280,16 @@ void RunParallelSweep(const bench::BenchOptions& options) {
                               point.eval_reps) /
           point.eval_seconds;
       json << "    {\"threads\": " << point.threads
+           << ", \"simulate_hours_per_s\": " << simulate_rate
            << ", \"train_rows_per_s\": " << static_cast<long long>(train_rate)
            << ", \"eval_cases_per_s\": " << static_cast<long long>(eval_rate)
-           << ", \"train_speedup\": ";
+           << ", \"simulate_speedup\": ";
+      if (speedups_measurable) {
+        json << simulate_rate / base_simulate_rate;
+      } else {
+        json << "\"" << skipped << "\"";
+      }
+      json << ", \"train_speedup\": ";
       if (speedups_measurable) {
         json << train_rate / base_train_rate;
       } else {
@@ -240,7 +302,8 @@ void RunParallelSweep(const bench::BenchOptions& options) {
         json << "\"" << skipped << "\"";
       }
       json << ", \"bit_identical\": "
-           << ((point.export_identical && point.accuracy_identical)
+           << ((point.rows_identical && point.export_identical &&
+                point.accuracy_identical)
                    ? "true"
                    : "false")
            << "}" << (i + 1 < points.size() ? "," : "") << "\n";

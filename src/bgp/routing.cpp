@@ -37,17 +37,18 @@ RoutingEngine::RoutingEngine(const AsGraph* graph,
       cache_(prefix_count),
       cache_version_(prefix_count, ~0ULL) {}
 
-const PrefixRouting& RoutingEngine::Routing(PrefixId prefix,
-                                            const AdvertisementState& state) {
+std::shared_ptr<const PrefixRouting> RoutingEngine::SharedRouting(
+    PrefixId prefix, const AdvertisementState& state) {
   assert(prefix.value() < prefix_count_);
   const std::uint64_t version = state.PrefixVersion(prefix);
   auto& slot = cache_[prefix.value()];
   if (!slot || cache_version_[prefix.value()] != version) {
-    slot.emplace();
-    ComputeRouting(prefix, state, *slot);
+    auto routing = std::make_shared<PrefixRouting>();
+    ComputeRouting(prefix, state, *routing);
+    slot = std::move(routing);
     cache_version_[prefix.value()] = version;
   }
-  return *slot;
+  return slot;
 }
 
 bool RoutingEngine::SessionAccepts(LinkId link, PrefixId prefix) const {
@@ -261,10 +262,11 @@ double RoutingEngine::PolicyBiasKm(NodeId node, std::size_t adj_ordinal,
 
 std::vector<LinkShare> RoutingEngine::ResolveIngress(
     NodeId src, MetroId src_metro, PrefixId prefix, std::uint64_t flow_hash,
-    int day, const AdvertisementState& state) {
+    int day, const AdvertisementState& state,
+    const PrefixRouting& routing) const {
   // Thin wrapper over the traced walk: merge per-path shares by link.
-  const auto traced =
-      ResolveIngressTraced(src, src_metro, prefix, flow_hash, day, state);
+  const auto traced = ResolveIngressTraced(src, src_metro, prefix, flow_hash,
+                                           day, state, routing);
   std::unordered_map<LinkId, double> merged;
   for (const auto& share : traced) {
     merged[share.link] += share.fraction;
@@ -298,8 +300,8 @@ std::vector<LinkShare> RoutingEngine::ResolveIngress(
 
 std::vector<TracedShare> RoutingEngine::ResolveIngressTraced(
     NodeId src, MetroId src_metro, PrefixId prefix, std::uint64_t flow_hash,
-    int day, const AdvertisementState& state) {
-  const PrefixRouting& routing = Routing(prefix, state);
+    int day, const AdvertisementState& state,
+    const PrefixRouting& routing) const {
   std::vector<TracedShare> shares;
 
   std::deque<WalkState> queue;

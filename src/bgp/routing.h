@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -117,22 +118,43 @@ class RoutingEngine {
   // Routing for one prefix under `state`; cached until the state's version
   // for that prefix changes.
   const PrefixRouting& Routing(PrefixId prefix,
-                               const AdvertisementState& state);
+                               const AdvertisementState& state) {
+    return *SharedRouting(prefix, state);
+  }
+  // The same cached routing, shared: it stays valid after the cache moves
+  // on to a newer version, so a caller can hold several versions at once.
+  std::shared_ptr<const PrefixRouting> SharedRouting(
+      PrefixId prefix, const AdvertisementState& state);
 
   // Where a flow sourced at (src, src_metro) towards `prefix` enters the
   // WAN: a distribution over peering links. Empty when unreachable.
   // `flow_hash` identifies the flow aggregate (stable jitter); `day` drives
-  // policy drift.
+  // policy drift. `routing` must be Routing(prefix, state); the const
+  // overloads touch no cache, so threads may resolve concurrently.
+  [[nodiscard]] std::vector<LinkShare> ResolveIngress(
+      NodeId src, MetroId src_metro, PrefixId prefix,
+      std::uint64_t flow_hash, int day, const AdvertisementState& state,
+      const PrefixRouting& routing) const;
   std::vector<LinkShare> ResolveIngress(NodeId src, MetroId src_metro,
                                         PrefixId prefix,
                                         std::uint64_t flow_hash, int day,
-                                        const AdvertisementState& state);
+                                        const AdvertisementState& state) {
+    return ResolveIngress(src, src_metro, prefix, flow_hash, day, state,
+                          Routing(prefix, state));
+  }
 
   // Like ResolveIngress but keeps one entry per distinct path with the
   // traversed AS-level nodes; slower, intended for analysis and tests.
+  [[nodiscard]] std::vector<TracedShare> ResolveIngressTraced(
+      NodeId src, MetroId src_metro, PrefixId prefix,
+      std::uint64_t flow_hash, int day, const AdvertisementState& state,
+      const PrefixRouting& routing) const;
   std::vector<TracedShare> ResolveIngressTraced(
       NodeId src, MetroId src_metro, PrefixId prefix,
-      std::uint64_t flow_hash, int day, const AdvertisementState& state);
+      std::uint64_t flow_hash, int day, const AdvertisementState& state) {
+    return ResolveIngressTraced(src, src_metro, prefix, flow_hash, day,
+                                state, Routing(prefix, state));
+  }
 
   // Valley-free AS-hop distance from `src` to the WAN assuming every link
   // advertises (used for the Figure 2/3 analyses). 0 == the WAN itself,
@@ -169,7 +191,7 @@ class RoutingEngine {
   NodeId wan_;
 
   // Per-prefix cache keyed by AdvertisementState::PrefixVersion.
-  std::vector<std::optional<PrefixRouting>> cache_;
+  std::vector<std::shared_ptr<const PrefixRouting>> cache_;
   std::vector<std::uint64_t> cache_version_;
 };
 

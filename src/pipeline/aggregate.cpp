@@ -29,23 +29,25 @@ struct RowKeyHash {
 
 }  // namespace
 
-std::vector<AggRow> HourlyAggregator::Aggregate(
-    std::span<const telemetry::IpfixRecord> records) {
+AggregateStats HourlyAggregator::Aggregate(
+    std::span<const telemetry::IpfixRecord> records,
+    std::vector<AggRow>& out) const {
+  AggregateStats stats;
   std::unordered_map<RowKey, AggRow, RowKeyHash> merged;
   merged.reserve(records.size());
   for (const auto& record : records) {
-    ++stats_.raw_records;
+    ++stats.raw_records;
     // Metadata join: the record carries only the destination address; the
     // service/region and the withdrawable announced prefix come from the
     // WAN's catalogue (exact VIP match + longest-prefix match).
     const auto dest_index = wan_->DestinationOfAddress(record.dest_addr);
     if (!dest_index.has_value()) {
-      ++stats_.unknown_destinations;
+      ++stats.unknown_destinations;
       continue;
     }
     const auto& destination = wan_->destination(*dest_index);
     const auto metro = geoip_->Lookup(record.src_prefix24);
-    if (!metro.has_value()) ++stats_.geoip_misses;
+    if (!metro.has_value()) ++stats.geoip_misses;
 
     RowKey key{record.link.value(),
                record.src_asn.value(),
@@ -71,11 +73,11 @@ std::vector<AggRow> HourlyAggregator::Aggregate(
     }
     row.bytes += record.scaled_bytes;
   }
-  std::vector<AggRow> out;
+  out.clear();
   out.reserve(merged.size());
   for (auto& [key, row] : merged) out.push_back(row);
-  stats_.aggregated_rows += out.size();
-  return out;
+  stats.aggregated_rows = out.size();
+  return stats;
 }
 
 }  // namespace tipsy::pipeline

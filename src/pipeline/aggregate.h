@@ -46,6 +46,13 @@ struct AggregateStats {
   std::size_t geoip_misses = 0;
   // Records whose destination address matched no known WAN VIP.
   std::size_t unknown_destinations = 0;
+  AggregateStats& operator+=(const AggregateStats& other) {
+    raw_records += other.raw_records;
+    aggregated_rows += other.aggregated_rows;
+    geoip_misses += other.geoip_misses;
+    unknown_destinations += other.unknown_destinations;
+    return *this;
+  }
   [[nodiscard]] double CompressionRatio() const {
     return raw_records == 0
                ? 1.0
@@ -59,18 +66,17 @@ class HourlyAggregator {
   HourlyAggregator(const wan::Wan* wan, const geo::GeoIpDb* geoip)
       : wan_(wan), geoip_(geoip) {}
 
-  // Joins and merges one hour's worth of records. Records with a Geo-IP
-  // miss keep an invalid src_metro (models not using location still use
-  // them). Cumulative statistics are kept across calls.
-  [[nodiscard]] std::vector<AggRow> Aggregate(
-      std::span<const telemetry::IpfixRecord> records);
-
-  [[nodiscard]] const AggregateStats& stats() const { return stats_; }
+  // Joins and merges one hour's worth of records into `out`, replacing
+  // its contents, and returns the hour's statistics (callers sum them).
+  // Records with a Geo-IP miss keep an invalid src_metro (models not using
+  // location still use them). Const, so several hours may aggregate at
+  // once.
+  AggregateStats Aggregate(std::span<const telemetry::IpfixRecord> records,
+                           std::vector<AggRow>& out) const;
 
  private:
   const wan::Wan* wan_;
   const geo::GeoIpDb* geoip_;
-  AggregateStats stats_;
 };
 
 }  // namespace tipsy::pipeline

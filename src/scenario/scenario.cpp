@@ -3,10 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "util/hash.h"
+#include "util/parallel.h"
 
 namespace tipsy::scenario {
+namespace {
+
+// Flow chunks per pool thread: more chunks than threads even out flows of
+// unequal cost. The chunk count never changes the results.
+constexpr std::size_t kChunksPerThread = 4;
+
+}  // namespace
 
 ScenarioConfig TinyScenarioConfig() {
   ScenarioConfig cfg;
@@ -65,7 +75,7 @@ Scenario::Scenario(const ScenarioConfig& config)
   state_ = bgp::AdvertisementState(topology_.peering_links.size(),
                                    config_.prefix_count);
   aggregator_ =
-      std::make_unique<pipeline::HourlyAggregator>(wan_.get(), &geoip_);
+      std::make_unique<const pipeline::HourlyAggregator>(wan_.get(), &geoip_);
   resolve_cache_.assign(workload_->flows().size(), ResolveCache{});
   last_down_mask_.assign(topology_.peering_links.size(), false);
   Calibrate();
@@ -88,14 +98,23 @@ core::FlowFeatures Scenario::FlowFeaturesOf(std::size_t flow_idx) const {
 std::vector<bgp::LinkShare> Scenario::ResolveFlow(std::size_t flow_idx,
                                                   util::HourIndex hour) {
   const auto& flow = workload_->flows()[flow_idx];
-  const auto& endpoint = workload_->endpoints()[flow.endpoint];
   const auto prefix = wan_->destination(flow.destination).prefix;
+  return CachedShares(flow_idx, hour, state_.PrefixVersion(prefix), state_,
+                      engine_->Routing(prefix, state_));
+}
+
+const std::vector<bgp::LinkShare>& Scenario::CachedShares(
+    std::size_t flow_idx, util::HourIndex hour, std::uint64_t version,
+    const bgp::AdvertisementState& state, const bgp::PrefixRouting& routing) {
   const int day = static_cast<int>(util::DayIndex(hour));
-  const std::uint64_t version = state_.PrefixVersion(prefix);
   ResolveCache& cache = resolve_cache_[flow_idx];
   if (cache.day != day || cache.version != version) {
-    cache.shares = engine_->ResolveIngress(endpoint.node, endpoint.metro,
-                                           prefix, flow.hash, day, state_);
+    const auto& flow = workload_->flows()[flow_idx];
+    const auto& endpoint = workload_->endpoints()[flow.endpoint];
+    const auto prefix = wan_->destination(flow.destination).prefix;
+    cache.shares = engine_->ResolveIngress(
+        endpoint.node, endpoint.metro, prefix, flow.hash, day, state,
+        routing);
     cache.day = day;
     cache.version = version;
   }
@@ -104,37 +123,70 @@ std::vector<bgp::LinkShare> Scenario::ResolveFlow(std::size_t flow_idx,
 
 void Scenario::SimulateHours(util::HourRange range, const RowSink& rows,
                              const LoadSink& loads) {
-  std::vector<telemetry::IpfixRecord> records;
-  std::vector<double> true_loads(wan_->link_count(), 0.0);
-  for (util::HourIndex h = range.begin; h < range.end; ++h) {
-    outages_.ApplyTo(state_, h);
-    // BMP session events on outage transitions.
-    for (std::uint32_t l = 0; l < wan_->link_count(); ++l) {
-      const bool down = outages_.IsDown(util::LinkId{l}, h);
-      if (down != last_down_mask_[l]) {
-        bmp_.Record(telemetry::BmpMessage{
-            h, util::LinkId{l}, util::PrefixId{},
-            down ? telemetry::BmpEventType::kSessionDown
-                 : telemetry::BmpEventType::kSessionUp});
-        last_down_mask_[l] = down;
-      }
-    }
+  for (util::HourIndex begin = range.begin; begin < range.end;) {
+    // A loads sink (the CMS loop) may change the advertisement state
+    // between hours, so it gets one-hour blocks; otherwise a block runs
+    // to the end of the day.
+    const util::HourIndex end =
+        loads ? begin + 1
+              : std::min(range.end,
+                         (util::DayIndex(begin) + 1) * util::kHoursPerDay);
+    SimulateBlock(util::HourRange{begin, end}, rows, loads);
+    begin = end;
+  }
+}
 
-    records.clear();
-    std::fill(true_loads.begin(), true_loads.end(), 0.0);
-    const auto& flows = workload_->flows();
-    for (std::size_t fi = 0; fi < flows.size(); ++fi) {
+void Scenario::PlanHour(util::HourIndex hour, bool plan_routing,
+                        HourPlan& plan) {
+  outages_.ApplyTo(state_, hour);
+  plan.hour = hour;
+  // BMP session events on outage transitions, recorded at hand-off.
+  plan.session_events.clear();
+  for (std::uint32_t l = 0; l < wan_->link_count(); ++l) {
+    const bool down = outages_.IsDown(util::LinkId{l}, hour);
+    if (down != last_down_mask_[l]) {
+      plan.session_events.push_back(telemetry::BmpMessage{
+          hour, util::LinkId{l}, util::PrefixId{},
+          down ? telemetry::BmpEventType::kSessionDown
+               : telemetry::BmpEventType::kSessionUp});
+      last_down_mask_[l] = down;
+    }
+  }
+  if (!plan_routing) return;
+  plan.state = state_;
+  plan.versions.resize(config_.prefix_count);
+  plan.routing.resize(config_.prefix_count);
+  for (std::uint32_t p = 0; p < config_.prefix_count; ++p) {
+    plan.versions[p] = state_.PrefixVersion(util::PrefixId{p});
+    plan.routing[p] = engine_->SharedRouting(util::PrefixId{p}, state_);
+  }
+}
+
+void Scenario::SimulateFlowChunk(std::size_t begin, std::size_t end,
+                                 std::size_t chunk, std::size_t chunks,
+                                 bool want_records, bool want_loads) {
+  const auto& flows = workload_->flows();
+  for (std::size_t fi = begin; fi < end; ++fi) {
+    const auto& flow = flows[fi];
+    const auto& endpoint = workload_->endpoints()[flow.endpoint];
+    const auto& destination = wan_->destination(flow.destination);
+    const std::uint32_t prefix = destination.prefix.value();
+    for (std::size_t off = 0; off < plans_.size(); ++off) {
+      const HourPlan& plan = plans_[off];
+      const util::HourIndex h = plan.hour;
       const double bytes = workload_->BytesAt(fi, h);
       if (bytes <= 0.0) continue;
-      const auto shares = ResolveFlow(fi, h);
-      if (shares.empty()) continue;
-      const auto& endpoint = workload_->endpoints()[flows[fi].endpoint];
+      const auto& shares = CachedShares(fi, h, plan.versions[prefix],
+                                        plan.state, *plan.routing[prefix]);
       for (const auto& share : shares) {
         const double link_bytes = bytes * share.fraction;
-        true_loads[share.link.value()] += link_bytes;
-        const std::uint64_t record_key =
-            util::HashAll(flows[fi].hash, static_cast<std::uint64_t>(h),
-                          share.link.value());
+        if (want_loads) {
+          chunk_loads_[off * chunks + chunk].push_back(
+              LoadTerm{share.link.value(), link_bytes});
+        }
+        if (!want_records) continue;
+        const std::uint64_t record_key = util::HashAll(
+            flow.hash, static_cast<std::uint64_t>(h), share.link.value());
         const auto sampled = sampler_.SampleBytes(link_bytes, record_key);
         if (!sampled.has_value()) continue;
         if (config_.collector_loss_rate > 0.0) {
@@ -148,25 +200,101 @@ void Scenario::SimulateHours(util::HourRange range, const RowSink& rows,
         record.link = share.link;
         record.src_prefix24 = endpoint.prefix24;
         record.src_asn = topology_.graph.node(endpoint.node).asn;
-        record.dest_addr =
-            wan_->destination(flows[fi].destination).address;
+        record.dest_addr = destination.address;
         record.scaled_bytes = *sampled;
-        records.push_back(record);
+        chunk_records_[off * chunks + chunk].push_back(record);
       }
     }
+  }
+}
+
+void Scenario::SimulateBlock(util::HourRange block, const RowSink& rows,
+                             const LoadSink& loads) {
+  const bool simulate_flows = rows || loads;
+  const auto hours = static_cast<std::size_t>(block.length());
+
+  // 1. Serial pre-pass: outages, session events, routing per hour.
+  plans_.resize(hours);
+  for (std::size_t off = 0; off < hours; ++off) {
+    PlanHour(block.begin + static_cast<util::HourIndex>(off),
+             simulate_flows, plans_[off]);
+  }
+
+  auto& pool = util::CurrentPool();
+  const std::size_t flow_count = workload_->flows().size();
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(flow_count, pool.thread_count() * kChunksPerThread));
+  if (simulate_flows) {
+    // 2. Flow-major: contiguous flow chunks over every hour of the block.
+    if (rows) chunk_records_.resize(hours * chunks);
+    if (loads) chunk_loads_.resize(hours * chunks);
+    pool.Run(chunks, [&](std::size_t chunk) {
+      SimulateFlowChunk(flow_count * chunk / chunks,
+                        flow_count * (chunk + 1) / chunks, chunk, chunks,
+                        rows != nullptr, loads != nullptr);
+    });
+  }
+  if (rows) {
+    // 3. Hour-parallel aggregation of the chunks' records, concatenated
+    // in chunk (= flow) order.
+    hour_rows_.resize(hours);
+    hour_stats_.resize(hours);
+    pool.Run(hours, [&](std::size_t off) {
+      const std::span pieces(chunk_records_.data() + off * chunks, chunks);
+      std::size_t total = 0;
+      for (const auto& piece : pieces) total += piece.size();
+      std::vector<telemetry::IpfixRecord> records;
+      records.reserve(total);
+      for (auto& piece : pieces) {
+        records.insert(records.end(), piece.begin(), piece.end());
+        piece.clear();
+      }
+      hour_stats_[off] = aggregator_->Aggregate(records, hour_rows_[off]);
+    });
+  }
+
+  // 4. Hand-off, strictly in hour order on the caller's thread.
+  std::vector<double> true_loads;
+  if (loads) true_loads.resize(wan_->link_count());
+  for (std::size_t off = 0; off < hours; ++off) {
+    const HourPlan& plan = plans_[off];
+    for (const auto& event : plan.session_events) bmp_.Record(event);
     if (rows) {
-      const auto aggregated = aggregator_->Aggregate(records);
+      aggregate_stats_ += hour_stats_[off];
       ++aggregated_hours_;
-      rows(h, aggregated);
+      rows(plan.hour, hour_rows_[off]);
     }
-    if (loads) loads(h, true_loads);
+    if (loads) {
+      std::fill(true_loads.begin(), true_loads.end(), 0.0);
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+        auto& terms = chunk_loads_[off * chunks + chunk];
+        for (const auto& term : terms) true_loads[term.link] += term.bytes;
+        terms.clear();
+      }
+      loads(plan.hour, true_loads);
+    }
+    // The later hours of the block were simulated under the planned
+    // states; a sink that changed the live state would have changed them.
+    if (simulate_flows && off + 1 < hours) {
+      const auto& planned = plans_.back().versions;
+      for (std::uint32_t p = 0; p < config_.prefix_count; ++p) {
+        if (state_.PrefixVersion(util::PrefixId{p}) != planned[p]) {
+          std::fprintf(stderr,
+                       "Scenario::SimulateHours: a rows sink changed the "
+                       "advertisement state at hour %lld, inside a day "
+                       "block (attach a loads sink for hourly blocks)\n",
+                       static_cast<long long>(plan.hour));
+          std::abort();
+        }
+      }
+    }
   }
 }
 
 std::size_t Scenario::EstimatedRows(util::HourRange range) const {
   if (aggregated_hours_ == 0 || range.end <= range.begin) return 0;
   const std::size_t per_hour =
-      aggregator_->stats().aggregated_rows / aggregated_hours_;
+      aggregate_stats_.aggregated_rows / aggregated_hours_;
   return per_hour * static_cast<std::size_t>(range.end - range.begin);
 }
 

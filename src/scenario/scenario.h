@@ -6,7 +6,16 @@
 // current advertisement state (outage schedule applied, plus any CMS
 // withdrawals the caller injected), runs the flows through the IPFIX
 // sampler, aggregates + joins the records, and hands the hour's rows to a
-// sink. Memory stays bounded no matter how many weeks are simulated.
+// sink. Memory stays bounded by one day of records, whatever the window.
+//
+// Hours are simulated in blocks, one fork-join per block: a serial
+// pre-pass fixes each hour's advertisement state and routing, contiguous
+// flow chunks resolve and sample on util::CurrentPool(), the hours
+// aggregate in parallel, and the sinks then see the hours strictly in
+// order on the caller's thread. Each hour's records are the chunks'
+// records concatenated in flow order, so the rows (and their order), the
+// aggregation statistics, the BMP feed and the loads are bit-identical at
+// any thread count.
 #pragma once
 
 #include <functional>
@@ -102,7 +111,7 @@ class Scenario : public RowSource {
   // The CMS records its withdrawal/announce messages here too.
   [[nodiscard]] telemetry::BmpFeed& mutable_bmp() { return bmp_; }
   [[nodiscard]] pipeline::AggregateStats aggregate_stats() const {
-    return aggregator_->stats();
+    return aggregate_stats_;
   }
 
   // --- Simulation.
@@ -113,7 +122,17 @@ class Scenario : public RowSource {
 
   // Simulates [range.begin, range.end): applies the outage schedule to the
   // advertisement state at each hour (preserving caller withdrawals),
-  // resolves, samples, aggregates. Either sink may be null.
+  // resolves, samples, aggregates. Either sink may be null; for each hour
+  // the rows sink runs before the loads sink.
+  //
+  // Sink contract. With a loads sink attached, hours are simulated one
+  // at a time, so the sinks may change the advertisement state or the
+  // workload between hours (the CMS loop withdraws prefixes at hour h
+  // that hour h+1 must see). With only a rows sink, a block is the rest
+  // of the current day, simulated before its first hour is handed off:
+  // such a sink must not change the advertisement state or the workload
+  // before the block's last hour. A changed advertisement state aborts
+  // the process at hand-off rather than silently skewing the rows.
   void SimulateHours(util::HourRange range, const RowSink& rows,
                      const LoadSink& loads = nullptr);
 
@@ -139,6 +158,33 @@ class Scenario : public RowSource {
       std::size_t flow_idx, util::HourIndex hour);
 
  private:
+  // What the serial pre-pass fixes for one hour of a block.
+  struct HourPlan {
+    util::HourIndex hour = 0;
+    bgp::AdvertisementState state{0, 0};  // a copy of the live state
+    // Per prefix: the live state's version (the resolve cache key; the
+    // copy above has a fresh identity) and the routing under it.
+    std::vector<std::uint64_t> versions;
+    std::vector<std::shared_ptr<const bgp::PrefixRouting>> routing;
+    std::vector<telemetry::BmpMessage> session_events;
+  };
+
+  void SimulateBlock(util::HourRange block, const RowSink& rows,
+                     const LoadSink& loads);
+  void PlanHour(util::HourIndex hour, bool plan_routing, HourPlan& plan);
+  // Resolves, samples and records flows [begin, end) for every planned
+  // hour into the chunk's buffers. Chunks own disjoint flows (and so
+  // disjoint resolve-cache entries) and otherwise only read.
+  void SimulateFlowChunk(std::size_t begin, std::size_t end,
+                         std::size_t chunk, std::size_t chunks,
+                         bool want_records, bool want_loads);
+  // The flow's ingress at `hour` under `state`, whose live version for the
+  // flow's prefix is `version`: the cached shares, or resolved afresh
+  // with `routing`.
+  const std::vector<bgp::LinkShare>& CachedShares(
+      std::size_t flow_idx, util::HourIndex hour, std::uint64_t version,
+      const bgp::AdvertisementState& state,
+      const bgp::PrefixRouting& routing);
   void Calibrate();
 
   ScenarioConfig config_;
@@ -151,7 +197,8 @@ class Scenario : public RowSource {
   bgp::AdvertisementState state_;
   telemetry::IpfixSampler sampler_;
   telemetry::BmpFeed bmp_;
-  std::unique_ptr<pipeline::HourlyAggregator> aggregator_;
+  std::unique_ptr<const pipeline::HourlyAggregator> aggregator_;
+  pipeline::AggregateStats aggregate_stats_;
 
   // Per-flow resolution cache: valid while (day, prefix version) match.
   struct ResolveCache {
@@ -162,6 +209,20 @@ class Scenario : public RowSource {
   std::vector<ResolveCache> resolve_cache_;
   std::vector<bool> last_down_mask_;  // for BMP session events
   std::size_t aggregated_hours_ = 0;  // hours simulated with a row sink
+
+  // One (link, bytes) term of an hour's ground-truth loads, kept so the
+  // loads are summed serially in flow order.
+  struct LoadTerm {
+    std::uint32_t link = 0;
+    double bytes = 0.0;
+  };
+  // The block's working set, reused across blocks. Per-chunk buffers are
+  // indexed [hour offset * chunks + chunk].
+  std::vector<HourPlan> plans_;
+  std::vector<std::vector<telemetry::IpfixRecord>> chunk_records_;
+  std::vector<std::vector<LoadTerm>> chunk_loads_;
+  std::vector<std::vector<pipeline::AggRow>> hour_rows_;
+  std::vector<pipeline::AggregateStats> hour_stats_;
 };
 
 }  // namespace tipsy::scenario

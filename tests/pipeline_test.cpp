@@ -62,7 +62,8 @@ TEST_F(AggregateTest, MergesIdenticalKeysSummingBytes) {
   HourlyAggregator agg(wan_.get(), &geoip_);
   const std::vector<telemetry::IpfixRecord> records{
       Record(0, 0, 100), Record(0, 0, 50), Record(1, 0, 10)};
-  const auto rows = agg.Aggregate(records);
+  std::vector<AggRow> rows;
+  const auto stats = agg.Aggregate(records, rows);
   ASSERT_EQ(rows.size(), 2u);
   std::uint64_t total = 0;
   for (const auto& row : rows) {
@@ -70,15 +71,16 @@ TEST_F(AggregateTest, MergesIdenticalKeysSummingBytes) {
     if (row.link == util::LinkId{0}) EXPECT_EQ(row.bytes, 150u);
   }
   EXPECT_EQ(total, 160u);
-  EXPECT_EQ(agg.stats().raw_records, 3u);
-  EXPECT_EQ(agg.stats().aggregated_rows, 2u);
-  EXPECT_LT(agg.stats().CompressionRatio(), 1.0);
+  EXPECT_EQ(stats.raw_records, 3u);
+  EXPECT_EQ(stats.aggregated_rows, 2u);
+  EXPECT_LT(stats.CompressionRatio(), 1.0);
 }
 
 TEST_F(AggregateTest, JoinsMetadata) {
   HourlyAggregator agg(wan_.get(), &geoip_);
   const std::vector<telemetry::IpfixRecord> records{Record(0, 3, 100)};
-  const auto rows = agg.Aggregate(records);
+  std::vector<AggRow> rows;
+  agg.Aggregate(records, rows);
   ASSERT_EQ(rows.size(), 1u);
   const auto& destination = wan_->destination(3);
   EXPECT_EQ(rows[0].dest_region, destination.region);
@@ -93,11 +95,12 @@ TEST_F(AggregateTest, GeoIpMissKeepsRowWithInvalidMetro) {
   HourlyAggregator agg(wan_.get(), &geoip_);
   auto record = Record(0, 0, 100);
   record.src_prefix24 = util::Ipv4Prefix(util::Ipv4Addr(99, 9, 9, 0), 24);
-  const auto rows =
-      agg.Aggregate(std::vector<telemetry::IpfixRecord>{record});
+  std::vector<AggRow> rows;
+  const auto stats =
+      agg.Aggregate(std::vector<telemetry::IpfixRecord>{record}, rows);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_FALSE(rows[0].src_metro.valid());
-  EXPECT_EQ(agg.stats().geoip_misses, 1u);
+  EXPECT_EQ(stats.geoip_misses, 1u);
 }
 
 TEST_F(AggregateTest, DistinctDestinationsDoNotMerge) {
@@ -105,7 +108,9 @@ TEST_F(AggregateTest, DistinctDestinationsDoNotMerge) {
   // Destinations 0 and 1 differ in service type -> different rows.
   const std::vector<telemetry::IpfixRecord> records{Record(0, 0, 100),
                                                     Record(0, 1, 100)};
-  EXPECT_EQ(agg.Aggregate(records).size(), 2u);
+  std::vector<AggRow> rows;
+  agg.Aggregate(records, rows);
+  EXPECT_EQ(rows.size(), 2u);
 }
 
 // ------------------------------------------------------------ link-hour

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "scenario/chaos_schedule.h"
 #include "scenario/experiment.h"
 #include "scenario/outage.h"
@@ -97,6 +100,22 @@ class ScenarioTest : public ::testing::Test {
   }
 };
 
+bool SameRow(const pipeline::AggRow& a, const pipeline::AggRow& b) {
+  return a.hour == b.hour && a.link == b.link && a.src_asn == b.src_asn &&
+         a.src_prefix24 == b.src_prefix24 && a.src_metro == b.src_metro &&
+         a.dest_region == b.dest_region && a.dest_service == b.dest_service &&
+         a.dest_prefix == b.dest_prefix && a.bytes == b.bytes;
+}
+
+// Rows must match in order and field by field.
+void ExpectSameRows(const std::vector<pipeline::AggRow>& a,
+                    const std::vector<pipeline::AggRow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(SameRow(a[i], b[i])) << "row " << i << " differs";
+  }
+}
+
 TEST_F(ScenarioTest, SimulationIsDeterministic) {
   Scenario a(Config());
   Scenario b(Config());
@@ -109,20 +128,8 @@ TEST_F(ScenarioTest, SimulationIsDeterministic) {
                                 std::span<const pipeline::AggRow> rows) {
     rows_b.insert(rows_b.end(), rows.begin(), rows.end());
   });
-  ASSERT_EQ(rows_a.size(), rows_b.size());
   ASSERT_FALSE(rows_a.empty());
-  // Rows within an hour come from one unordered map; compare as multisets
-  // via sorted byte/link projections.
-  auto key = [](const pipeline::AggRow& row) {
-    return std::tuple(row.link.value(), row.src_asn.value(),
-                      row.src_prefix24, row.bytes);
-  };
-  std::vector<decltype(key(rows_a[0]))> ka, kb;
-  for (const auto& row : rows_a) ka.push_back(key(row));
-  for (const auto& row : rows_b) kb.push_back(key(row));
-  std::sort(ka.begin(), ka.end());
-  std::sort(kb.begin(), kb.end());
-  EXPECT_EQ(ka, kb);
+  ExpectSameRows(rows_a, rows_b);
 }
 
 TEST_F(ScenarioTest, NoRowsOnDownLinks) {
@@ -269,6 +276,199 @@ TEST_F(ScenarioTest, RowCacheReplaysExactly) {
   EXPECT_EQ(live_rows, cached_rows);
   EXPECT_DOUBLE_EQ(live_bytes, cached_bytes);
   EXPECT_GT(cache.total_rows(), 0u);
+}
+
+// ------------------------------------------- thread-count identity
+//
+// A live Scenario simulates a block of hours per fork-join; everything
+// it hands out must be bit-identical at any pool size.
+
+struct LiveTrace {
+  std::vector<util::HourIndex> hours;
+  std::vector<std::vector<pipeline::AggRow>> rows;
+  std::vector<std::vector<double>> loads;
+  pipeline::AggregateStats stats;
+  std::size_t estimated_rows = 0;
+  std::vector<telemetry::BmpMessage> bmp;
+};
+
+void ExpectSameTrace(const LiveTrace& a, const LiveTrace& b) {
+  EXPECT_EQ(a.hours, b.hours);
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    SCOPED_TRACE("hour " + std::to_string(a.hours[i]));
+    ExpectSameRows(a.rows[i], b.rows[i]);
+  }
+  ASSERT_EQ(a.loads.size(), b.loads.size());
+  for (std::size_t i = 0; i < a.loads.size(); ++i) {
+    ASSERT_EQ(a.loads[i].size(), b.loads[i].size());
+    EXPECT_EQ(0, std::memcmp(a.loads[i].data(), b.loads[i].data(),
+                             a.loads[i].size() * sizeof(double)))
+        << "loads of hour " << a.hours[i] << " differ";
+  }
+  EXPECT_EQ(a.stats.raw_records, b.stats.raw_records);
+  EXPECT_EQ(a.stats.aggregated_rows, b.stats.aggregated_rows);
+  EXPECT_EQ(a.stats.geoip_misses, b.stats.geoip_misses);
+  EXPECT_EQ(a.stats.unknown_destinations, b.stats.unknown_destinations);
+  EXPECT_EQ(a.estimated_rows, b.estimated_rows);
+  ASSERT_EQ(a.bmp.size(), b.bmp.size());
+  for (std::size_t i = 0; i < a.bmp.size(); ++i) {
+    EXPECT_EQ(a.bmp[i].hour, b.bmp[i].hour);
+    EXPECT_EQ(a.bmp[i].link, b.bmp[i].link);
+    EXPECT_EQ(a.bmp[i].prefix, b.bmp[i].prefix);
+    EXPECT_EQ(a.bmp[i].type, b.bmp[i].type);
+  }
+}
+
+class ScenarioThreadIdentity : public ::testing::Test {
+ protected:
+  static ScenarioConfig Config() {
+    auto cfg = TinyScenarioConfig();
+    cfg.traffic.flow_target = 400;
+    cfg.collector_loss_rate = 0.05;
+    return cfg;
+  }
+
+  // Ranges that start off a day boundary, are not whole days long, and
+  // cross an outage transition (hour 0's session-down events aside).
+  static std::vector<util::HourRange> Ranges() {
+    const Scenario world(Config());
+    util::HourIndex transition = -1;
+    for (const auto& event : world.outages().events()) {
+      if (event.hours.begin >= 20 && event.hours.begin < 80) {
+        transition = event.hours.begin;
+        break;
+      }
+    }
+    EXPECT_GE(transition, 0) << "no outage begins in hours [20, 80)";
+    const util::HourIndex start =
+        transition - 17 - (util::HourOfDay(transition - 17) == 0 ? 1 : 0);
+    return {util::HourRange{3, start}, util::HourRange{start, start + 41}};
+  }
+
+  // Simulates `ranges` on a fresh world under a pool of `threads`. With
+  // `withdraw_at`, a loads sink withdraws the prefix of that hour's
+  // largest row on its link, CMS-style.
+  static LiveTrace Run(std::size_t threads,
+                       const std::vector<util::HourRange>& ranges,
+                       bool with_loads,
+                       util::HourIndex withdraw_at = -1) {
+    util::ScopedPool pool(threads);
+    Scenario world(Config());
+    LiveTrace trace;
+    const auto on_rows = [&](util::HourIndex hour,
+                             std::span<const pipeline::AggRow> rows) {
+      trace.hours.push_back(hour);
+      trace.rows.emplace_back(rows.begin(), rows.end());
+      // A sink may record into the BMP feed (the CMS does); its messages
+      // must land after its hour's session events.
+      world.mutable_bmp().Record(telemetry::BmpMessage{
+          hour, util::LinkId{}, util::PrefixId{},
+          telemetry::BmpEventType::kAnnounce});
+    };
+    const auto on_loads = [&](util::HourIndex hour,
+                              std::span<const double> loads) {
+      trace.loads.emplace_back(loads.begin(), loads.end());
+      if (hour != withdraw_at) return;
+      const auto& rows = trace.rows.back();
+      const auto top = std::max_element(
+          rows.begin(), rows.end(),
+          [](const pipeline::AggRow& a, const pipeline::AggRow& b) {
+            return a.bytes < b.bytes;
+          });
+      ASSERT_NE(top, rows.end());
+      world.advertisement().Withdraw(top->dest_prefix, top->link);
+    };
+    for (const auto& range : ranges) {
+      if (with_loads) {
+        world.SimulateHours(range, on_rows, on_loads);
+      } else {
+        world.SimulateHours(range, on_rows);
+      }
+    }
+    trace.stats = world.aggregate_stats();
+    trace.estimated_rows = world.EstimatedRows(util::HourRange{0, 24});
+    trace.bmp = world.bmp().messages();
+    return trace;
+  }
+};
+
+TEST_F(ScenarioThreadIdentity, RowsMatchAcrossThreadCounts) {
+  const auto ranges = Ranges();
+  const auto serial = Run(1, ranges, /*with_loads=*/false);
+  const auto parallel = Run(4, ranges, /*with_loads=*/false);
+  ASSERT_EQ(serial.rows.size(),
+            static_cast<std::size_t>(ranges.back().end - ranges.front().begin));
+  ExpectSameTrace(serial, parallel);
+  EXPECT_GT(serial.estimated_rows, 0u);
+  EXPECT_GT(serial.stats.raw_records, serial.stats.aggregated_rows);
+  // Session events are recorded as their hour is handed off, not when
+  // the block is planned: the feed stays in hour order.
+  EXPECT_GT(serial.bmp.size(), serial.rows.size());
+  EXPECT_TRUE(std::is_sorted(
+      serial.bmp.begin(), serial.bmp.end(),
+      [](const telemetry::BmpMessage& a, const telemetry::BmpMessage& b) {
+        return a.hour < b.hour;
+      }));
+}
+
+TEST_F(ScenarioThreadIdentity, LoadsMatchBitForBit) {
+  const auto ranges = Ranges();
+  const auto serial = Run(1, ranges, /*with_loads=*/true);
+  const auto parallel = Run(4, ranges, /*with_loads=*/true);
+  ASSERT_EQ(serial.loads.size(), serial.rows.size());
+  ExpectSameTrace(serial, parallel);
+  // Hourly blocks (loads attached) and day blocks give the same rows.
+  const auto day_blocks = Run(4, ranges, /*with_loads=*/false);
+  ASSERT_EQ(day_blocks.rows.size(), serial.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+    ExpectSameRows(serial.rows[i], day_blocks.rows[i]);
+  }
+}
+
+TEST_F(ScenarioThreadIdentity, LoadsSinkWithdrawalReachesTheNextHour) {
+  const util::HourIndex withdraw_at = 29;
+  const std::vector<util::HourRange> ranges{{27, 33}};
+  const auto serial = Run(1, ranges, /*with_loads=*/true, withdraw_at);
+  const auto parallel = Run(4, ranges, /*with_loads=*/true, withdraw_at);
+  ExpectSameTrace(serial, parallel);
+
+  // The withdrawn (prefix, link) pair carries nothing from hour h+1 on.
+  const auto& at = serial.rows[withdraw_at - 27];
+  const auto top = std::max_element(
+      at.begin(), at.end(),
+      [](const pipeline::AggRow& a, const pipeline::AggRow& b) {
+        return a.bytes < b.bytes;
+      });
+  ASSERT_NE(top, at.end());
+  for (const auto& row : serial.rows[withdraw_at - 27 + 1]) {
+    EXPECT_FALSE(row.link == top->link && row.dest_prefix == top->dest_prefix);
+  }
+  // And hour h+1 differs from a run without the withdrawal.
+  const auto untouched = Run(4, ranges, /*with_loads=*/true);
+  const auto& next = serial.rows[withdraw_at - 27 + 1];
+  const auto& next_untouched = untouched.rows[withdraw_at - 27 + 1];
+  const bool same =
+      next.size() == next_untouched.size() &&
+      std::equal(next.begin(), next.end(), next_untouched.begin(), SameRow);
+  EXPECT_FALSE(same);
+}
+
+TEST(ScenarioSinkContract, RowsSinkChangingStateInsideADayBlockAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto cfg = TinyScenarioConfig();
+  cfg.traffic.flow_target = 100;
+  EXPECT_DEATH(
+      {
+        Scenario world(cfg);
+        world.SimulateHours(
+            {24, 30},
+            [&](util::HourIndex, std::span<const pipeline::AggRow>) {
+              world.advertisement().Withdraw(util::PrefixId{0},
+                                             util::LinkId{0});
+            });
+      },
+      "changed the advertisement state");
 }
 
 // ------------------------------------------------------------ experiment

@@ -26,9 +26,10 @@ import sys
 SCHEMAS = {
     "BENCH_parallel.json": (
         {"bench", "hardware_concurrency", "speedups_measurable",
-         "train_rows", "eval_cases", "points"},
+         "simulated_hours", "train_rows", "eval_cases", "points"},
         "points",
-        {"threads", "train_rows_per_s", "train_speedup", "eval_cases_per_s",
+        {"threads", "simulate_hours_per_s", "simulate_speedup",
+         "train_rows_per_s", "train_speedup", "eval_cases_per_s",
          "eval_speedup", "bit_identical"},
     ),
     "BENCH_robustness.json": (
@@ -132,13 +133,19 @@ def check_serving_targets(data: dict) -> list[str]:
 def check_parallel_speedups(data: dict) -> list[str]:
     """Speedup fields must be numbers on multi-core hosts and the literal
     "skipped: 1 core" on single-core hosts, where a ~1x reading would be
-    scheduler noise presented as a measurement."""
+    scheduler noise presented as a measurement. Every thread count must
+    also reproduce the serial run bit for bit (simulated rows, exported
+    table, accuracy): a speedup that changed the results is no speedup."""
     problems = []
     measurable = data.get("speedups_measurable")
     for index, entry in enumerate(data.get("points", [])):
         if not isinstance(entry, dict):
             continue
-        for key in ("train_speedup", "eval_speedup"):
+        if entry.get("bit_identical") is not True:
+            problems.append(
+                f"points[{index}] (threads={entry.get('threads')}): "
+                "bit_identical is not true")
+        for key in ("simulate_speedup", "train_speedup", "eval_speedup"):
             value = entry.get(key)
             if measurable is True and not isinstance(value, (int, float)):
                 problems.append(

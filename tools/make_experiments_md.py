@@ -152,12 +152,15 @@ congests more links over more link-hours; the TIPSY-guided run skips
 unsafe withdrawals / withdraws at the predicted spill targets
 simultaneously and ends with fewer cascade events."""),
     ("bench_substrate_perf", "Substrate performance (not a paper table)", """
-Cost of the simulation substrate itself: a per-prefix Gao-Rexford route
-recomputation (what one withdrawal triggers) in tens of microseconds, a
-per-flow ingress resolution near a microsecond, and a fully simulated
-hour (resolution + IPFIX sampling + aggregation + metadata join) in
-milliseconds - which is why a 4-week experiment runs in well under a
-minute."""),
+Cost of the simulation substrate itself. The thread sweep times
+simulating the 9-day sweep window (a fork-join per simulated day: flow
+chunks resolve and sample in parallel, hours aggregate in parallel),
+training and evaluation at 1/2/4 threads, each bit-identical to the
+serial run. The micro-benchmarks (`--micro`) price a per-prefix
+Gao-Rexford route recomputation (what one withdrawal triggers) in tens
+of microseconds, a per-flow ingress resolution near a microsecond, and
+a fully simulated hour (resolution + IPFIX sampling + aggregation +
+metadata join) in milliseconds."""),
     ("bench_ablations", "Ablations — design choices", """
 Not a paper table; these are the design knobs the paper argues for,
 measured: byte-weighting beats unweighted training (§3.3's reasons 1–4);

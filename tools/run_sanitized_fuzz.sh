@@ -16,10 +16,12 @@
 # the query path's routing reads), the parallel substrate tests, the
 # observability suite (concurrent metric writers racing registry
 # scrapes), the serving-core epoch-swap suite (PredictShift readers
-# racing ModelEpoch publishes - the lock-free model handoff), and the
-# net suite (daemon listener threads, reconnecting clients, the socket
-# fault proxy's pump threads, and the wire-format byte-flip fuzz, all
-# over real sockets); TSan turns any data race into a hard failure.
+# racing ModelEpoch publishes - the lock-free model handoff), the net
+# suite (daemon listener threads, reconnecting clients, the socket fault
+# proxy's pump threads, and the wire-format byte-flip fuzz, all over real
+# sockets), and the live-simulation identity tests (flow chunks resolving
+# and sampling on the pool, hours aggregating in parallel, compared at 1
+# and 4 threads); TSan turns any data race into a hard failure.
 # Skipped when the requested sanitizer *is* thread (pass 1 already
 # covers it).
 #
@@ -85,7 +87,7 @@ if [[ "${SANITIZER}" != "thread" ]]; then
   cmake -B "${TSAN_BUILD}" -S "${ROOT}" -DTIPSY_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
   cmake --build "${TSAN_BUILD}" -j --target ha_test parallel_test \
-        obs_test serving_core_test net_test || exit 1
+        obs_test serving_core_test net_test scenario_test || exit 1
   run_pass "ha_test supervisor/heartbeat races under thread sanitizer" \
       "${TSAN_BUILD}/tests/ha_test" \
       --gtest_filter='Supervisor.*:HeartbeatFaults.*'
@@ -98,6 +100,9 @@ if [[ "${SANITIZER}" != "thread" ]]; then
       --gtest_filter='ServingCoreTsan.*'
   run_pass "net_test daemon/client/proxy thread races under thread sanitizer" \
       "${TSAN_BUILD}/tests/net_test"
+  run_pass "scenario_test parallel SimulateHours identity under thread sanitizer" \
+      "${TSAN_BUILD}/tests/scenario_test" \
+      --gtest_filter='ScenarioThreadIdentity.*:ScenarioTest.*:Experiment.ParallelRunMatchesSerialRunExactly'
 fi
 
 echo
