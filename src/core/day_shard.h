@@ -6,62 +6,52 @@
 // every historical feature set; the retrainer keeps a ring of them and
 // maintains the window aggregate by merging the newest day and
 // subtracting the expired one, instead of re-aggregating the full window.
+// The same TupleCountTable is also the training accumulator of every
+// HistoricalModel, so there is one B(f, l) table in the code base.
 //
-// Exactness contract: all counts are integer-valued (byte volumes, or 1.0
-// per observation under the unweighted ablation) and stay far below 2^53,
-// so double addition and subtraction are exact in any order. Merging day
-// shards therefore reproduces, bit for bit, the table a serial pass over
-// the same rows builds; subtracting a day leaves exactly the table the
-// remaining days would build (Subtract erases exact-zero links and
-// tuples so the aggregate never accumulates tombstones).
+// Exactness contract: counts are integers by type - uint64_t byte
+// volumes, or 1 per observation under the unweighted ablation - so
+// addition and subtraction are exact in any order. Merging day shards
+// therefore reproduces, bit for bit, the table a serial pass over the
+// same rows builds; subtracting a day leaves exactly the table the
+// remaining days would build (Subtract erases links and tuples that drain
+// to exactly 0, so the aggregate never accumulates tombstones). Counts
+// leave the table as doubles (Export, Rank), exact while they stay below
+// 2^53.
 //
 // Decay (RetrainPolicy::decay_half_life_days) extends the contract to
 // exponential down-weighting without giving up exactness: one decay
-// generation halves every count by an integer floor (x -> floor(x / 2)),
-// computed in uint64 arithmetic, so decayed counts remain integer-valued
-// doubles that Export/FromExport and the snapshot codec round-trip
-// bit-exactly. Floor-halving composes (Decay(Decay(x, a), b) ==
-// Decay(x, a + b)), which is what makes the retrainer's incrementally
-// maintained decayed aggregate identical to a from-scratch canonical
-// fold over the same day shards.
+// generation halves every count by an integer floor (x -> x >> 1), so
+// decayed counts remain integers that Export/FromExport and the snapshot
+// codec round-trip bit-exactly. Floor-halving composes (Decay(Decay(x, a),
+// b) == Decay(x, a + b)), which is what makes the retrainer's
+// incrementally maintained decayed aggregate identical to a from-scratch
+// canonical fold over the same day shards.
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/features.h"
+#include "core/flat_table.h"
 #include "pipeline/aggregate.h"
 #include "util/sim_time.h"
 #include "util/status.h"
 
 namespace tipsy::core {
 
-// Byte mass observed on one ingress link, within one tuple's counts. The
-// pre-finalization accumulation unit shared by HistoricalModel and the
-// day-shard tables.
-struct LinkBytes {
-  util::LinkId link;
-  double bytes = 0.0;
-};
-
-// Per tuple: the links that carried its traffic plus the tuple total.
-// Before finalization `ranked` is in insertion order; HistoricalModel
-// sorts and truncates it by (bytes desc, link asc) when building a
-// servable model, which makes every downstream artifact independent of
-// the accumulation order.
-struct TupleCounts {
-  std::vector<LinkBytes> ranked;
-  double total_bytes = 0.0;
-};
-
-using TupleCountMap =
-    std::unordered_map<TupleKey, TupleCounts, TupleKeyHash>;
-
 // One feature set's B(f, l) counts over some slice of training data (a
-// day, a window, a parallel training shard): addable row by row,
-// mergeable and subtractable slice by slice, all bit-exact.
+// day, a window, a model's training pass): addable row by row, mergeable
+// and subtractable slice by slice, all bit-exact.
+//
+// Layout: FlatTupleTable's, made writable. A power-of-two bucket array
+// (linear probing, load <= 0.7, backward-shift deletion) holds each
+// tuple's key, total and the head and tail of its link chain; one arena
+// holds every (link, bytes) node, chained per tuple in first-occurrence
+// order. Unlinked nodes stay in the arena until dead nodes outnumber live
+// ones, when the arena is compacted, so a rolling window aggregate stays
+// within 2x its live links. One writer at a time.
 class TupleCountTable {
  public:
   TupleCountTable() = default;
@@ -70,10 +60,13 @@ class TupleCountTable {
       : feature_set_(feature_set), weight_by_bytes_(weight_by_bytes) {}
 
   // Accumulates one row (rows missing the feature set's features are
-  // skipped, matching HistoricalModel::Add).
+  // skipped; a zero-byte row still records its link).
   void Add(const pipeline::AggRow& row);
+  void AddRows(std::span<const pipeline::AggRow> rows);
 
-  // other += nothing; *this += other.
+  // *this += other. Links new to a tuple are appended in other's
+  // first-occurrence order, so merging slices in order reproduces a
+  // serial pass over their rows, link order included.
   void Merge(const TupleCountTable& other);
   // *this -= other. kInvalidArgument when `other` holds a (tuple, link)
   // or byte mass this table does not - the caller tried to subtract a day
@@ -81,30 +74,25 @@ class TupleCountTable {
   [[nodiscard]] util::Status Subtract(const TupleCountTable& other);
 
   // Applies `generations` exponential-decay steps: every per-link count
-  // becomes floor(count / 2^generations) (exact uint64 arithmetic; counts
-  // are integer-valued doubles below 2^53). Links decayed to zero are
-  // erased, tuples left without links are erased, and each tuple's
-  // total_bytes is recomputed as the sum of its surviving link counts so
-  // the table's internal invariant (total == sum of links) holds.
-  // Generations >= 53 clear the table. No-op for generations <= 0.
+  // becomes count >> generations. Links decayed to zero are erased,
+  // tuples left without links are erased, and each tuple's total is
+  // recomputed as the sum of its surviving link counts so the table's
+  // invariant (total == sum of links) holds. Generations >= 53 shift by
+  // 53, which drains any count below 2^53. No-op for generations <= 0.
   void Decay(int generations);
 
   [[nodiscard]] FeatureSet feature_set() const { return feature_set_; }
   [[nodiscard]] bool weight_by_bytes() const { return weight_by_bytes_; }
-  [[nodiscard]] std::size_t tuple_count() const { return counts_.size(); }
-  [[nodiscard]] bool empty() const { return counts_.empty(); }
-  [[nodiscard]] const TupleCountMap& counts() const { return counts_; }
+  [[nodiscard]] std::size_t tuple_count() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  // Live (tuple, link) counts, and the arena slots holding them (live
+  // plus not yet compacted dead ones).
+  [[nodiscard]] std::size_t link_count() const { return live_links_; }
+  [[nodiscard]] std::size_t arena_size() const { return links_.size(); }
 
-  void Reserve(std::size_t expected_tuples) {
-    counts_.reserve(expected_tuples);
-  }
-  void Clear() { counts_.clear(); }
-
-  // Hands the underlying map to a consumer (HistoricalModel's finalize
-  // ranks and truncates it in place); the table is left empty.
-  [[nodiscard]] TupleCountMap ReleaseCounts() {
-    return std::exchange(counts_, {});
-  }
+  // Sizes the bucket array for `expected_tuples` without rehashing later.
+  void Reserve(std::size_t expected_tuples);
+  void Clear();
 
   // Deterministic plain-data view (tuples sorted by key; links in
   // accumulation order) for serialization and equality checks.
@@ -112,8 +100,13 @@ class TupleCountTable {
     TupleKey key;
     double total_bytes = 0.0;
     std::vector<LinkBytes> links;
+
+    bool operator==(const ExportEntry&) const = default;
   };
   [[nodiscard]] std::vector<ExportEntry> Export() const;
+  // Rebuilds a table from Export() output. Entries are taken verbatim (a
+  // repeated key keeps its first entry); counts convert back to integers,
+  // negative or NaN values reading as 0.
   [[nodiscard]] static TupleCountTable FromExport(
       FeatureSet feature_set, bool weight_by_bytes,
       const std::vector<ExportEntry>& entries);
@@ -122,10 +115,51 @@ class TupleCountTable {
   // per-link byte mass (link order within a tuple may differ).
   [[nodiscard]] bool SameCounts(const TupleCountTable& other) const;
 
+  // The servable form: each tuple's links ranked by (bytes desc, link
+  // asc), truncated to `max_links_per_tuple`, and laid out by
+  // FlatTupleTable::Build. The ranking depends only on the (link, bytes)
+  // pairs, so it is independent of accumulation order.
+  [[nodiscard]] FlatTupleTable Rank(std::size_t max_links_per_tuple) const;
+
  private:
+  // head == kEmpty marks a free bucket; kNil ends a link chain (a tuple
+  // restored from a hostile export may hold no links at all).
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  static constexpr std::uint32_t kNil = 0xfffffffeu;
+
+  struct Bucket {
+    TupleKey key;
+    std::uint64_t total = 0;
+    std::uint32_t head = kEmpty;
+    std::uint32_t tail = kNil;
+  };
+  static_assert(sizeof(Bucket) == 32, "two buckets per cache line");
+  struct LinkNode {
+    std::uint32_t link = 0;
+    std::uint32_t next = kNil;
+    std::uint64_t bytes = 0;
+  };
+
+  // Index of `key`'s bucket, or buckets_.size() when absent.
+  [[nodiscard]] std::size_t FindIndex(const TupleKey& key) const;
+  // `key`'s bucket, inserted with no links and a zero total when absent.
+  Bucket& FindOrInsert(const TupleKey& key);
+  // Adds `bytes` to the tuple's `link`, appending the link when new.
+  void AddToLink(Bucket& bucket, std::uint32_t link, std::uint64_t bytes);
+  void AppendLink(Bucket& bucket, std::uint32_t link, std::uint64_t bytes);
+  // Frees bucket `index`, shifting its probe chain back over the hole.
+  void EraseAt(std::size_t index);
+  void Rehash(std::size_t capacity);
+  // Rewrites the arena chain by chain once dead nodes outnumber live ones.
+  void CompactIfSparse();
+
   FeatureSet feature_set_ = FeatureSet::kA;
   bool weight_by_bytes_ = true;
-  TupleCountMap counts_;
+  std::vector<Bucket> buckets_;  // power-of-two size; empty until first use
+  std::vector<LinkNode> links_;
+  std::size_t mask_ = 0;  // buckets_.size() - 1
+  std::size_t size_ = 0;
+  std::size_t live_links_ = 0;
 };
 
 // The three historical feature sets' counts over one slice of data - the
@@ -135,15 +169,12 @@ struct ShardTables {
   TupleCountTable ap{FeatureSet::kAP};
   TupleCountTable al{FeatureSet::kAL};
 
-  void Add(const pipeline::AggRow& row) {
-    a.Add(row);
-    ap.Add(row);
-    al.Add(row);
+  // Table by table, so each table's buckets stay hot across the batch.
+  void AddRows(std::span<const pipeline::AggRow> rows) {
+    a.AddRows(rows);
+    ap.AddRows(rows);
+    al.AddRows(rows);
   }
-  // Accumulates a batch, fanning large batches out over the current
-  // thread pool (util::CurrentPool) with an in-order partial merge, so
-  // the result is bit-identical at any thread count.
-  void AddRows(std::span<const pipeline::AggRow> rows);
   void Merge(const ShardTables& other);
   [[nodiscard]] util::Status Subtract(const ShardTables& other);
   // Floor-halves all three tables by `generations` decay steps (see
@@ -155,30 +186,9 @@ struct ShardTables {
   void Clear();
 };
 
-// One ingest hour's partial counts - the element of the retrainer's
-// hour-resolution ring. Rows accumulate here first and the slot is folded
-// (merged) into the owning day's shard once the ingest clock moves past
-// the hour; because hours fold in ascending order and Merge appends
-// unseen links in the incoming table's first-occurrence order, the folded
-// day shard is bit-identical to adding the day's rows directly.
-struct HourSlot {
-  util::HourIndex hour = 0;
-  std::uint64_t row_count = 0;
-  ShardTables tables;
-
-  void AddRows(std::span<const pipeline::AggRow> rows) {
-    tables.AddRows(rows);
-    row_count += rows.size();
-  }
-  [[nodiscard]] bool empty() const { return row_count == 0; }
-  void Clear() {
-    tables.Clear();
-    row_count = 0;
-  }
-};
-
 // One training day's partial counts, the ring element the retrainer
-// maintains per buffered day.
+// maintains per buffered day. Ingest adds each hour's rows straight into
+// the open day's shard.
 struct DayShard {
   util::HourIndex day = 0;
   std::uint64_t row_count = 0;
@@ -187,13 +197,6 @@ struct DayShard {
   void AddRows(std::span<const pipeline::AggRow> rows) {
     tables.AddRows(rows);
     row_count += rows.size();
-  }
-  // Folds one completed hour slot into the day (hour-resolution ring).
-  // Bit-identical to having added the slot's rows directly, provided
-  // hours fold in ascending order.
-  void FoldHour(const HourSlot& slot) {
-    tables.Merge(slot.tables);
-    row_count += slot.row_count;
   }
   // Builds the shard for a whole day of rows at once (restore path and
   // tests); identical to incremental AddRows over the same rows.

@@ -6,6 +6,7 @@
 // a /24 maps to exactly one location (Table 1).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -55,12 +56,13 @@ struct FlowFeaturesHash {
 
 // The reduced tuple a feature set actually keys on, packed into a hashable
 // value. Distinct raw values always produce distinct keys (no hashing of
-// the feature values themselves, only of the packed struct).
+// the feature values themselves, only of the packed struct). Keys order
+// by (hi, lo), the order every export and serving table is laid out in.
 struct TupleKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
 
-  bool operator==(const TupleKey&) const = default;
+  auto operator<=>(const TupleKey&) const = default;
 };
 
 struct TupleKeyHash {

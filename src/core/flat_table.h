@@ -1,30 +1,41 @@
 // Read-optimized serving table for finalized tuple rankings.
 //
 // Between retrains the B(f, l) counts are frozen, so the serving side
-// does not need a mutable node-based hash map at all. FlatTupleTable is
-// built once from a ranked TupleCountMap and then only probed: an
-// open-addressing bucket array (32-byte buckets, two per cache line,
-// linear probing) plus one contiguous arena holding every tuple's ranked
-// links back to back. A lookup touches the probe cache line and then the
-// ranked run it points into - no pointer chasing through map nodes and
-// no per-tuple std::vector header.
+// only probes. FlatTupleTable is built once from ranked runs (each
+// tuple's links ranked and truncated by TupleCountTable::Rank, or read
+// back from a model bundle) and then only probed: an open-addressing
+// bucket array (32-byte buckets, two per cache line, linear probing) plus
+// one contiguous arena holding every tuple's ranked links back to back. A
+// lookup touches the probe cache line and then the ranked run it points
+// into - no pointer chasing through map nodes and no per-tuple
+// std::vector header.
 //
 // The layout is deterministic: buckets are inserted and the arena is
-// filled in key-sorted order, so two tables built from maps with equal
-// contents are identical byte for byte regardless of the maps' iteration
-// order. Everything a table serves (totals, ranked runs) carries the
-// exact double values of the source map, which keeps Predict() and
-// ExportTable() bit-identical to the legacy map-backed path.
+// filled in key-sorted order, so two tables built from equal runs are
+// identical byte for byte regardless of the order the runs arrived in.
+// Everything a table serves (totals, ranked runs) carries the exact
+// double values of its input, which keeps Predict() and ExportTable()
+// bit-identical across training, incremental retraining and restore.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/day_shard.h"
 #include "core/features.h"
+#include "util/ids.h"
 
 namespace tipsy::core {
+
+// Byte mass observed on one ingress link, within one tuple's ranked run.
+// Counts are integers (core/day_shard.h); they are served as doubles so
+// p(l|f) = B(f, l) / B(f) is one division.
+struct LinkBytes {
+  util::LinkId link;
+  double bytes = 0.0;
+
+  bool operator==(const LinkBytes&) const = default;
+};
 
 class FlatTupleTable {
  public:
@@ -43,9 +54,12 @@ class FlatTupleTable {
 
   FlatTupleTable() = default;
 
-  // Builds from a finalized (ranked + truncated) map. The map is only
-  // read; the caller usually discards it afterwards.
-  [[nodiscard]] static FlatTupleTable Build(const TupleCountMap& ranked);
+  // Builds from ranked runs: each element of `tuples` names a tuple's key
+  // and total, and its ranked links as [links_begin, links_begin +
+  // link_count) of `links`. The runs may come in any order; when a key
+  // repeats, its first run wins.
+  [[nodiscard]] static FlatTupleTable Build(
+      std::span<const Bucket> tuples, std::span<const LinkBytes> links);
 
   // The bucket holding `key`, nullptr when the tuple is unknown.
   [[nodiscard]] const Bucket* Find(const TupleKey& key) const {

@@ -7,12 +7,10 @@ namespace tipsy::core {
 
 HistoricalModel::HistoricalModel(FeatureSet feature_set,
                                  std::size_t max_links_per_tuple,
-                                 bool weight_by_bytes,
-                                 ServingBackend backend)
+                                 bool weight_by_bytes)
     : feature_set_(feature_set),
       max_links_per_tuple_(max_links_per_tuple),
       weight_by_bytes_(weight_by_bytes),
-      backend_(backend),
       counts_(feature_set, weight_by_bytes) {
   assert(max_links_per_tuple_ >= 1);
 }
@@ -22,68 +20,20 @@ void HistoricalModel::Add(const pipeline::AggRow& row) {
   counts_.Add(row);
 }
 
-void HistoricalModel::EnsureShards(std::size_t count) {
+void HistoricalModel::AddRows(std::span<const pipeline::AggRow> rows) {
   assert(!finalized_);
-  if (shards_.size() >= count) return;
-  const std::size_t old_size = shards_.size();
-  shards_.resize(count, TupleCountTable(feature_set_, weight_by_bytes_));
-  if (reserve_hint_ > 0) {
-    const std::size_t per_shard = reserve_hint_ / count + 1;
-    for (std::size_t i = old_size; i < count; ++i) {
-      shards_[i].Reserve(per_shard);
-    }
-  }
-}
-
-void HistoricalModel::AddToShard(std::size_t shard,
-                                 const pipeline::AggRow& row) {
-  assert(!finalized_ && shard < shards_.size());
-  shards_[shard].Add(row);
+  counts_.AddRows(rows);
 }
 
 void HistoricalModel::ReserveTuples(std::size_t expected_tuples) {
-  reserve_hint_ = expected_tuples;
   counts_.Reserve(expected_tuples);
 }
 
-void HistoricalModel::RankAndTruncate() {
-  for (auto& [key, entry] : table_) {
-    std::sort(entry.ranked.begin(), entry.ranked.end(),
-              [](const LinkBytes& a, const LinkBytes& b) {
-                if (a.bytes != b.bytes) return a.bytes > b.bytes;
-                return a.link < b.link;
-              });
-    if (entry.ranked.size() > max_links_per_tuple_) {
-      entry.ranked.resize(max_links_per_tuple_);
-      entry.ranked.shrink_to_fit();
-    }
-  }
-}
-
-void HistoricalModel::AdoptServingTable() {
-  if (backend_ == ServingBackend::kFlat) {
-    flat_ = FlatTupleTable::Build(table_);
-    // The map was only the build input; serving probes the flat table.
-    TupleCountMap().swap(table_);
-  }
-  finalized_ = true;
-}
-
 void HistoricalModel::Finalize() {
-  // Shards merge in index order; per tuple every link's byte total is a
-  // sum of integer-valued doubles, so the grouping does not change the
-  // result and the merged table matches a serial pass bit for bit. The
-  // ranked order after RankAndTruncate() is fully determined by
-  // (bytes, link) regardless of the insertion order built here.
-  for (auto& shard : shards_) {
-    counts_.Merge(shard);
-    shard.Clear();
-  }
-  shards_.clear();
-  shards_.shrink_to_fit();
-  table_ = counts_.ReleaseCounts();
-  RankAndTruncate();
-  AdoptServingTable();
+  flat_ = counts_.Rank(max_links_per_tuple_);
+  // The counts were only the build input; serving probes the flat table.
+  counts_ = TupleCountTable(feature_set_, weight_by_bytes_);
+  finalized_ = true;
 }
 
 bool HistoricalModel::LookupRanked(const FlowFeatures& flow,
@@ -91,18 +41,11 @@ bool HistoricalModel::LookupRanked(const FlowFeatures& flow,
                                    double* total_bytes) const {
   assert(finalized_);
   if (!HasFeatures(feature_set_, flow)) return false;
-  const TupleKey key = MakeTupleKey(feature_set_, flow);
-  if (backend_ == ServingBackend::kFlat) {
-    const FlatTupleTable::Bucket* bucket = flat_.Find(key);
-    if (bucket == nullptr) return false;
-    *ranked = flat_.links(*bucket);
-    *total_bytes = bucket->total_bytes;
-    return true;
-  }
-  const auto it = table_.find(key);
-  if (it == table_.end()) return false;
-  *ranked = {it->second.ranked.data(), it->second.ranked.size()};
-  *total_bytes = it->second.total_bytes;
+  const FlatTupleTable::Bucket* bucket =
+      flat_.Find(MakeTupleKey(feature_set_, flow));
+  if (bucket == nullptr) return false;
+  *ranked = flat_.links(*bucket);
+  *total_bytes = bucket->total_bytes;
   return true;
 }
 
@@ -169,94 +112,76 @@ std::string HistoricalModel::name() const {
 }
 
 std::size_t HistoricalModel::MemoryFootprintBytes() const {
-  if (finalized_ && backend_ == ServingBackend::kFlat) {
-    return flat_.MemoryFootprintBytes();
-  }
-  std::size_t bytes = table_.size() * (sizeof(TupleKey) + sizeof(TupleCounts));
-  for (const auto& [key, entry] : table_) {
-    bytes += entry.ranked.capacity() * sizeof(LinkBytes);
-  }
-  return bytes;
+  return flat_.MemoryFootprintBytes();
 }
 
 bool HistoricalModel::Knows(const FlowFeatures& flow) const {
   if (!HasFeatures(feature_set_, flow)) return false;
-  const TupleKey key = MakeTupleKey(feature_set_, flow);
-  return backend_ == ServingBackend::kFlat ? flat_.Contains(key)
-                                           : table_.contains(key);
+  return flat_.Contains(MakeTupleKey(feature_set_, flow));
 }
 
 std::vector<HistoricalModel::TupleExport> HistoricalModel::ExportTable()
     const {
   assert(finalized_);
   std::vector<TupleExport> out;
-  if (backend_ == ServingBackend::kFlat) {
-    out.reserve(flat_.size());
-    flat_.ForEachBucket([&](const FlatTupleTable::Bucket& bucket) {
-      TupleExport exported;
-      exported.key = bucket.key;
-      exported.total_bytes = bucket.total_bytes;
-      const auto links = flat_.links(bucket);
-      exported.ranked.reserve(links.size());
-      for (const auto& lb : links) {
-        exported.ranked.emplace_back(lb.link, lb.bytes);
-      }
-      out.push_back(std::move(exported));
-    });
-  } else {
-    out.reserve(table_.size());
-    for (const auto& [key, entry] : table_) {
-      TupleExport exported;
-      exported.key = key;
-      exported.total_bytes = entry.total_bytes;
-      exported.ranked.reserve(entry.ranked.size());
-      for (const auto& lb : entry.ranked) {
-        exported.ranked.emplace_back(lb.link, lb.bytes);
-      }
-      out.push_back(std::move(exported));
+  out.reserve(flat_.size());
+  flat_.ForEachBucket([&](const FlatTupleTable::Bucket& bucket) {
+    TupleExport exported;
+    exported.key = bucket.key;
+    exported.total_bytes = bucket.total_bytes;
+    const auto links = flat_.links(bucket);
+    exported.ranked.reserve(links.size());
+    for (const auto& lb : links) {
+      exported.ranked.emplace_back(lb.link, lb.bytes);
     }
-  }
+    out.push_back(std::move(exported));
+  });
   std::sort(out.begin(), out.end(),
             [](const TupleExport& a, const TupleExport& b) {
-              if (a.key.hi != b.key.hi) return a.key.hi < b.key.hi;
-              return a.key.lo < b.key.lo;
+              return a.key < b.key;
             });
   return out;
 }
 
 HistoricalModel HistoricalModel::FromExport(
     FeatureSet feature_set, std::size_t max_links_per_tuple,
-    bool weight_by_bytes, const std::vector<TupleExport>& table,
-    ServingBackend backend) {
-  HistoricalModel model(feature_set, max_links_per_tuple, weight_by_bytes,
-                        backend);
-  for (const auto& exported : table) {
-    TupleCounts entry;
-    entry.total_bytes = exported.total_bytes;
-    entry.ranked.reserve(exported.ranked.size());
-    for (const auto& [link, bytes] : exported.ranked) {
-      entry.ranked.push_back(LinkBytes{link, bytes});
-    }
-    model.table_.emplace(exported.key, std::move(entry));
-  }
+    bool weight_by_bytes, const std::vector<TupleExport>& table) {
+  HistoricalModel model(feature_set, max_links_per_tuple, weight_by_bytes);
   // Exported tables were already ranked and truncated.
-  model.AdoptServingTable();
+  std::vector<FlatTupleTable::Bucket> runs;
+  runs.reserve(table.size());
+  std::vector<LinkBytes> links;
+  for (const auto& exported : table) {
+    FlatTupleTable::Bucket run;
+    run.key = exported.key;
+    run.total_bytes = exported.total_bytes;
+    run.links_begin = static_cast<std::uint32_t>(links.size());
+    run.link_count = static_cast<std::uint32_t>(exported.ranked.size());
+    for (const auto& [link, bytes] : exported.ranked) {
+      links.push_back(LinkBytes{link, bytes});
+    }
+    runs.push_back(run);
+  }
+  model.flat_ = FlatTupleTable::Build(runs, links);
+  model.finalized_ = true;
   return model;
 }
 
 HistoricalModel HistoricalModel::FromCounts(std::size_t max_links_per_tuple,
                                             const TupleCountTable& counts,
-                                            const TupleCountTable* overlay,
-                                            ServingBackend backend) {
+                                            const TupleCountTable* overlay) {
   HistoricalModel model(counts.feature_set(), max_links_per_tuple,
-                        counts.weight_by_bytes(), backend);
-  // The window aggregate stays untouched (it keeps rolling forward); the
-  // model ranks and truncates a private copy, overlay merged on top.
-  TupleCountTable merged = counts;
-  if (overlay != nullptr) merged.Merge(*overlay);
-  model.table_ = merged.ReleaseCounts();
-  model.RankAndTruncate();
-  model.AdoptServingTable();
+                        counts.weight_by_bytes());
+  if (overlay == nullptr) {
+    model.flat_ = counts.Rank(max_links_per_tuple);
+  } else {
+    // The window aggregate stays untouched (it keeps rolling forward);
+    // the model ranks a copy with the overlay merged on top.
+    TupleCountTable merged = counts;
+    merged.Merge(*overlay);
+    model.flat_ = merged.Rank(max_links_per_tuple);
+  }
+  model.finalized_ = true;
   return model;
 }
 

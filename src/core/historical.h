@@ -9,8 +9,8 @@
 //
 // Accumulation is delegated to core/day_shard.h's TupleCountTable, the
 // same mergeable counts the incremental retrainer keeps per day; this
-// class owns what makes the counts a servable model: ranking, top-k
-// truncation and prediction.
+// class owns what makes the counts a servable model: a FlatTupleTable of
+// ranked, top-k truncated runs, and prediction from it.
 #pragma once
 
 #include "core/day_shard.h"
@@ -18,12 +18,6 @@
 #include "core/model.h"
 
 namespace tipsy::core {
-
-// What a finalized model serves lookups from. kFlat (the default) builds
-// a FlatTupleTable at finalization and drops the accumulation map; the
-// two backends are bit-identical in everything they serve - kLegacyMap
-// exists as the reference the serving-core tests diff against.
-enum class ServingBackend : std::uint8_t { kFlat, kLegacyMap };
 
 class HistoricalModel : public Model {
  public:
@@ -33,26 +27,16 @@ class HistoricalModel : public Model {
   // every observation counts 1 instead of its byte volume.
   explicit HistoricalModel(FeatureSet feature_set,
                            std::size_t max_links_per_tuple = 16,
-                           bool weight_by_bytes = true,
-                           ServingBackend backend = ServingBackend::kFlat);
+                           bool weight_by_bytes = true);
 
-  // Streaming, byte-weighted training. Call Finalize() before predicting.
+  // Streaming, byte-weighted training from one writer. Call Finalize()
+  // before predicting.
   void Add(const pipeline::AggRow& row);
+  void AddRows(std::span<const pipeline::AggRow> rows);
   void Finalize();
 
-  // --- Shard-local accumulation for parallel training. Each shard owns a
-  // private partial table; shard s may only be written by one thread at a
-  // time (TipsyService assigns shard s to row chunk s). Finalize() merges
-  // the shards into the main table in shard order. Because byte counts
-  // are integers (exactly representable in doubles far below 2^53) the
-  // merged sums — and therefore ExportTable() and every prediction — are
-  // bit-identical to a serial Add() over the same rows.
-  void EnsureShards(std::size_t count);
-  void AddToShard(std::size_t shard, const pipeline::AggRow& row);
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  // Capacity hint for the tuple tables (satellite of the parallel
-  // substrate PR: avoid rehash churn on the training hot path).
+  // Capacity hint for the count table (avoids rehash churn on the
+  // training hot path).
   void ReserveTuples(std::size_t expected_tuples);
 
   [[nodiscard]] std::vector<Prediction> Predict(
@@ -67,23 +51,19 @@ class HistoricalModel : public Model {
 
   [[nodiscard]] FeatureSet feature_set() const { return feature_set_; }
   [[nodiscard]] std::size_t tuple_count() const {
-    if (!finalized_) return counts_.tuple_count();
-    return backend_ == ServingBackend::kFlat ? flat_.size() : table_.size();
+    return finalized_ ? flat_.size() : counts_.tuple_count();
   }
   [[nodiscard]] bool finalized() const { return finalized_; }
-  [[nodiscard]] ServingBackend backend() const { return backend_; }
-  // The flat serving table (kFlat backend, finalized models only);
-  // nullptr otherwise. Exposed for serving-core metrics and benches.
+  // The flat serving table (finalized models only); nullptr otherwise.
+  // Exposed for serving-core metrics and benches.
   [[nodiscard]] const FlatTupleTable* flat_table() const {
-    return finalized_ && backend_ == ServingBackend::kFlat ? &flat_ : nullptr;
+    return finalized_ ? &flat_ : nullptr;
   }
 
-  // Prefetches the tuple's serving bucket (no-op on the legacy backend).
-  // The batched prediction path calls this a few flows ahead of the
-  // probe; `key` must come from MakeTupleKey(feature_set(), flow).
-  void PrefetchTuple(const TupleKey& key) const {
-    if (backend_ == ServingBackend::kFlat) flat_.Prefetch(key);
-  }
+  // Prefetches the tuple's serving bucket. The batched prediction path
+  // calls this a few flows ahead of the probe; `key` must come from
+  // MakeTupleKey(feature_set(), flow).
+  void PrefetchTuple(const TupleKey& key) const { flat_.Prefetch(key); }
 
   // Whether the model has any ranking for the flow's tuple (used by tests
   // and by the fall-through logic diagnostics).
@@ -106,9 +86,7 @@ class HistoricalModel : public Model {
   static HistoricalModel FromExport(FeatureSet feature_set,
                                     std::size_t max_links_per_tuple,
                                     bool weight_by_bytes,
-                                    const std::vector<TupleExport>& table,
-                                    ServingBackend backend =
-                                        ServingBackend::kFlat);
+                                    const std::vector<TupleExport>& table);
 
   // Builds a finalized model directly from accumulated window counts,
   // optionally overlaying one more partial table (the retrainer's
@@ -118,17 +96,9 @@ class HistoricalModel : public Model {
   // the summed (bytes, link) pairs.
   static HistoricalModel FromCounts(std::size_t max_links_per_tuple,
                                     const TupleCountTable& counts,
-                                    const TupleCountTable* overlay = nullptr,
-                                    ServingBackend backend =
-                                        ServingBackend::kFlat);
+                                    const TupleCountTable* overlay = nullptr);
 
  private:
-  // Sorts every tuple's links by (bytes desc, link asc) and truncates to
-  // max_links_per_tuple_.
-  void RankAndTruncate();
-  // Moves the ranked map into the configured serving backend (the flat
-  // table frees the map) and marks the model servable.
-  void AdoptServingTable();
   // The serving entry for `flow`'s tuple: its ranked links and tuple
   // total. False when the model cannot key or has never seen the flow.
   [[nodiscard]] bool LookupRanked(const FlowFeatures& flow,
@@ -138,15 +108,10 @@ class HistoricalModel : public Model {
   FeatureSet feature_set_;
   std::size_t max_links_per_tuple_;
   bool weight_by_bytes_;
-  ServingBackend backend_;
   bool finalized_ = false;
-  std::size_t reserve_hint_ = 0;
-  // Pre-finalization accumulation (serial path) ...
+  // Pre-finalization accumulation (freed at Finalize) ...
   TupleCountTable counts_;
-  std::vector<TupleCountTable> shards_;
-  // ... and the finalized, ranked + truncated serving table: the flat
-  // table on the kFlat backend, the map on kLegacyMap.
-  TupleCountMap table_;
+  // ... and the finalized serving table of ranked, truncated runs.
   FlatTupleTable flat_;
 };
 

@@ -49,18 +49,6 @@ std::int64_t DailyRetrainer::DecayGeneration(util::HourIndex day) const {
   return generation;
 }
 
-void DailyRetrainer::FoldOpenHour() {
-  if (!open_hour_active_) return;
-  const util::HourIndex day = util::DayIndex(open_hour_.hour);
-  // Hours are monotone, so a non-empty slot always belongs to the newest
-  // buffered day.
-  if (!days_.empty() && days_.back().day == day) {
-    days_.back().shard.FoldHour(open_hour_);
-  }
-  open_hour_.Clear();
-  open_hour_active_ = false;
-}
-
 util::HourIndex DailyRetrainer::NewestBufferedDay() const {
   return days_.empty() ? kNoDay : days_.back().day;
 }
@@ -112,11 +100,10 @@ void DailyRetrainer::AdvanceTo(util::HourIndex hour) {
   const util::HourIndex day = util::DayIndex(hour);
   const bool hour_advanced = hour > last_observed_hour_;
   if (hour_advanced) {
-    // The previous hour completed: fold its slot into the day shard and
-    // let the drift detector judge it, before any retrain below reads
-    // the shards. Heartbeat-only hours complete with no rows, which the
-    // detector skips entirely (an outage must not fire drift).
-    FoldOpenHour();
+    // The previous hour completed: let the drift detector judge it
+    // before any retrain below. Heartbeat-only hours complete with no
+    // rows, which the detector skips entirely (an outage must not fire
+    // drift).
     if (drift_.has_value() && drift_->CompleteHour()) {
       drift_events_.Increment();
       drift_retrain_pending_ = true;
@@ -151,18 +138,9 @@ void DailyRetrainer::Ingest(util::HourIndex hour,
     buffer.last_hour = hour;
   }
   buffer.rows.insert(buffer.rows.end(), rows.begin(), rows.end());
-  if (incremental_enabled()) {
-    // Hour-resolution ring: rows accumulate into the open hour slot and
-    // fold into the day shard when the clock moves past the hour -
-    // bit-identical to adding them to the day shard directly, because
-    // hours fold in ascending order (first-occurrence link order is
-    // preserved) and all counts are integer-exact.
-    if (!open_hour_active_) {
-      open_hour_.hour = hour;
-      open_hour_active_ = true;
-    }
-    open_hour_.AddRows(rows);
-  }
+  // The open day's shard takes the rows as they arrive, so a retrain at
+  // any hour sees exactly the hours ingested so far.
+  if (incremental_enabled()) buffer.shard.AddRows(rows);
   if (drift_.has_value()) drift_->ObserveRows(hour, rows, current_.get());
 }
 
@@ -171,9 +149,6 @@ util::Status DailyRetrainer::TryRetrain() {
 }
 
 util::Status DailyRetrainer::TryRetrainInternal(bool drift_shrink) {
-  // A retrain reads the day shards, so the open hour slot folds first
-  // (idempotent; AdvanceTo already folded on an hour advance).
-  FoldOpenHour();
   if (drift_retrain_pending_) {
     // This attempt answers the drift trigger whether or not it succeeds;
     // the detector enters its cooldown either way, so a flaky signal
@@ -339,23 +314,10 @@ RetrainerState DailyRetrainer::ExportState() const {
     exported.last_hour = day.last_hour;
     exported.rows = day.rows;
     if (incremental_enabled()) {
-      if (open_hour_active_ && util::DayIndex(open_hour_.hour) == day.day) {
-        // The open hour's rows are in `rows` but not yet folded into the
-        // day shard; export the folded view (on a copy - ExportState is
-        // const and non-destructive) so the restore-side trust condition
-        // shard_row_count == rows.size() holds.
-        ShardTables folded = day.shard.tables;
-        folded.Merge(open_hour_.tables);
-        exported.shard_row_count = day.shard.row_count + open_hour_.row_count;
-        exported.shard_a = folded.a.Export();
-        exported.shard_ap = folded.ap.Export();
-        exported.shard_al = folded.al.Export();
-      } else {
-        exported.shard_row_count = day.shard.row_count;
-        exported.shard_a = day.shard.tables.a.Export();
-        exported.shard_ap = day.shard.tables.ap.Export();
-        exported.shard_al = day.shard.tables.al.Export();
-      }
+      exported.shard_row_count = day.shard.row_count;
+      exported.shard_a = day.shard.tables.a.Export();
+      exported.shard_ap = day.shard.tables.ap.Export();
+      exported.shard_al = day.shard.tables.al.Export();
     }
     state.days.push_back(std::move(exported));
   }
@@ -407,8 +369,6 @@ util::Status DailyRetrainer::RestoreState(const RetrainerState& state) {
   }
   days_.clear();
   window_counts_.Clear();
-  open_hour_.Clear();
-  open_hour_active_ = false;
   decay_generation_ = 0;
   decay_folded_through_day_ = kNoDay;
   drift_retrain_pending_ = false;

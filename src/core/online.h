@@ -26,7 +26,10 @@
 //    a scheduled retrain merges the newest day into a rolling window
 //    aggregate and subtracts the expired day, instead of re-aggregating
 //    all ~21 days of rows - bit-identical to the from-scratch rebuild,
-//    including across snapshot/restore.
+//    including across snapshot/restore. Ingest adds each hour's rows
+//    straight into the open day's shard (one flat count table per
+//    feature set, one writer), so a mid-day retrain overlays exactly the
+//    hours ingested so far and an export needs no fold first.
 #pragma once
 
 #include <atomic>
@@ -418,10 +421,6 @@ class DailyRetrainer {
   // Day-boundary bookkeeping + retrain attempt with retry scheduling.
   void OnDayBoundary(util::HourIndex new_day);
   void AttemptScheduledRetrain();
-  // Merges the open hour slot into its day's shard (hour-resolution
-  // ring); called whenever the ingest clock moves past the hour and
-  // before any retrain reads the shards.
-  void FoldOpenHour();
   // Decay generation of a day under the policy's half-life staircase.
   [[nodiscard]] std::int64_t DecayGeneration(util::HourIndex day) const;
   // The retrain engine; `drift_shrink` marks a drift-triggered early
@@ -466,10 +465,6 @@ class DailyRetrainer {
   ShardTables window_counts_;
   obs::Counter incremental_retrains_;
   obs::Counter incremental_rebuilds_;
-  // Hour-resolution ring: the hour currently accumulating. Folded into
-  // the owning day's shard when the clock moves past it.
-  HourSlot open_hour_;
-  bool open_hour_active_ = false;
   // Decay mode: generation window_counts_ is decayed to, and the newest
   // day folded into it (folded days form a prefix of the ring).
   std::int64_t decay_generation_ = 0;

@@ -8,9 +8,9 @@
 namespace tipsy::core {
 namespace {
 
-// Below this batch size the fork-join overhead outweighs the sharded
-// accumulation; determinism does not depend on the cutoff (serial and
-// sharded adds merge to bit-identical tables).
+// Below this batch size the fork-join overhead outweighs running the
+// tables side by side; determinism does not depend on the cutoff (every
+// table sees every row in order on any path).
 constexpr std::size_t kMinParallelTrainRows = 256;
 
 #ifndef TIPSY_NO_OBS
@@ -87,15 +87,12 @@ TipsyService::TipsyService(const wan::Wan* wan,
                            const geo::MetroCatalogue* metros,
                            TipsyConfig config)
     : wan_(wan), metros_(metros), config_(config) {
-  hist_a_ = std::make_unique<HistoricalModel>(
-      FeatureSet::kA, config_.max_links_per_tuple, true,
-      config_.serving_backend);
-  hist_ap_ = std::make_unique<HistoricalModel>(
-      FeatureSet::kAP, config_.max_links_per_tuple, true,
-      config_.serving_backend);
-  hist_al_ = std::make_unique<HistoricalModel>(
-      FeatureSet::kAL, config_.max_links_per_tuple, true,
-      config_.serving_backend);
+  hist_a_ = std::make_unique<HistoricalModel>(FeatureSet::kA,
+                                              config_.max_links_per_tuple);
+  hist_ap_ = std::make_unique<HistoricalModel>(FeatureSet::kAP,
+                                               config_.max_links_per_tuple);
+  hist_al_ = std::make_unique<HistoricalModel>(FeatureSet::kAL,
+                                               config_.max_links_per_tuple);
   if (config_.train_naive_bayes) {
     nb_a_ = std::make_unique<NaiveBayesModel>(FeatureSet::kA);
     nb_al_ = std::make_unique<NaiveBayesModel>(FeatureSet::kAL);
@@ -105,35 +102,31 @@ TipsyService::TipsyService(const wan::Wan* wan,
 void TipsyService::Train(std::span<const pipeline::AggRow> rows) {
   assert(!finalized_);
   util::ThreadPool& pool = util::CurrentPool();
-  const std::size_t shards = pool.thread_count();
-  if (shards <= 1 || rows.size() < kMinParallelTrainRows) {
+  const std::size_t threads = pool.thread_count();
+  HistoricalModel* const hists[] = {hist_a_.get(), hist_ap_.get(),
+                                    hist_al_.get()};
+  if (threads <= 1 || rows.size() < kMinParallelTrainRows) {
+    for (HistoricalModel* hist : hists) hist->AddRows(rows);
     for (const auto& row : rows) {
-      hist_a_->Add(row);
-      hist_ap_->Add(row);
-      hist_al_->Add(row);
       if (nb_a_) nb_a_->Add(row);
       if (nb_al_) nb_al_->Add(row);
     }
     return;
   }
-  hist_a_->EnsureShards(shards);
-  hist_ap_->EnsureShards(shards);
-  hist_al_->EnsureShards(shards);
-  if (nb_a_) nb_a_->EnsureShards(shards);
-  if (nb_al_) nb_al_->EnsureShards(shards);
-  // Chunk s of the batch feeds shard s of every model, so each shard is
+  // One task per historical table: each table keeps a single writer.
+  pool.Run(3, [&](std::size_t table) { hists[table]->AddRows(rows); });
+  if (!nb_a_ && !nb_al_) return;
+  if (nb_a_) nb_a_->EnsureShards(threads);
+  if (nb_al_) nb_al_->EnsureShards(threads);
+  // Chunk s of the batch feeds Naive Bayes shard s, so each shard is
   // written by exactly one thread per batch.
   const std::size_t n = rows.size();
-  pool.Run(shards, [&](std::size_t shard) {
-    const std::size_t begin = n * shard / shards;
-    const std::size_t end = n * (shard + 1) / shards;
+  pool.Run(threads, [&](std::size_t shard) {
+    const std::size_t begin = n * shard / threads;
+    const std::size_t end = n * (shard + 1) / threads;
     for (std::size_t i = begin; i < end; ++i) {
-      const auto& row = rows[i];
-      hist_a_->AddToShard(shard, row);
-      hist_ap_->AddToShard(shard, row);
-      hist_al_->AddToShard(shard, row);
-      if (nb_a_) nb_a_->AddToShard(shard, row);
-      if (nb_al_) nb_al_->AddToShard(shard, row);
+      if (nb_a_) nb_a_->AddToShard(shard, rows[i]);
+      if (nb_al_) nb_al_->AddToShard(shard, rows[i]);
     }
   });
 }
@@ -209,14 +202,11 @@ std::unique_ptr<TipsyService> TipsyService::FromWindowCounts(
   return FromTrainedModels(
       wan, metros, config,
       HistoricalModel::FromCounts(config.max_links_per_tuple, window.a,
-                                  overlay != nullptr ? &overlay->a : nullptr,
-                                  config.serving_backend),
+                                  overlay != nullptr ? &overlay->a : nullptr),
       HistoricalModel::FromCounts(config.max_links_per_tuple, window.ap,
-                                  overlay != nullptr ? &overlay->ap : nullptr,
-                                  config.serving_backend),
+                                  overlay != nullptr ? &overlay->ap : nullptr),
       HistoricalModel::FromCounts(config.max_links_per_tuple, window.al,
-                                  overlay != nullptr ? &overlay->al : nullptr,
-                                  config.serving_backend));
+                                  overlay != nullptr ? &overlay->al : nullptr));
 }
 
 const HistoricalModel& TipsyService::hist(FeatureSet fs) const {
@@ -405,7 +395,7 @@ obs::MetricGroup TipsyService::RegisterMetrics(
       "PredictShift latency, sampled 1-in-64 queries",
       &predict_latency_));
   // Serving-core gauges: shape and build cost of the flat tables this
-  // service probes (all zero on the legacy-map backend).
+  // service probes.
   const auto flat_tables = [this] {
     std::vector<const FlatTupleTable*> tables;
     for (const HistoricalModel* model :

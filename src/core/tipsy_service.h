@@ -24,11 +24,6 @@ struct TipsyConfig {
   // Naive Bayes is an order of magnitude more expensive to query
   // (Appendix A); train it only when an experiment needs it.
   bool train_naive_bayes = false;
-  // What the historical models serve lookups from once finalized. kFlat
-  // (production) probes the open-addressing FlatTupleTable; kLegacyMap
-  // keeps the node-based hash map and exists as the bit-identity
-  // reference for the serving-core tests and benches.
-  ServingBackend serving_backend = ServingBackend::kFlat;
 };
 
 class TipsyService {
@@ -37,9 +32,11 @@ class TipsyService {
                TipsyConfig config = {});
 
   // Single-pass, byte-weighted, streaming training. Feed any number of row
-  // batches, then finalize once. Large batches are sharded over the
-  // current thread pool (util::CurrentPool); the per-thread partials are
-  // merged deterministically at FinalizeTraining(), so trained tables are
+  // batches, then finalize once. Each historical model's count table has
+  // one writer, which adds every row in order; on a multi-thread pool
+  // (util::CurrentPool) large batches run the three tables side by side.
+  // Naive Bayes, when enabled, shards its tables by row chunk and merges
+  // them deterministically at FinalizeTraining(). Trained tables are
   // bit-identical to a serial run regardless of TIPSY_THREADS.
   void Train(std::span<const pipeline::AggRow> rows);
   void FinalizeTraining();

@@ -102,16 +102,29 @@ util::StatusOr<Replica> Replica::Open(const wan::Wan* wan,
   return replica;
 }
 
-void Replica::Apply(const JournalRecord& record) {
-  if (record.kind == JournalRecordKind::kHeartbeat) {
-    retrainer_.AdvanceTo(record.hour);
+void Replica::Apply(std::uint64_t seq, JournalRecordKind kind,
+                    util::HourIndex hour,
+                    std::span<const pipeline::AggRow> rows) {
+  if (kind == JournalRecordKind::kHeartbeat) {
+    retrainer_.AdvanceTo(hour);
   } else {
-    retrainer_.Ingest(record.hour, record.rows);
-    last_data_hour_ = std::max(last_data_hour_, record.hour);
+    retrainer_.Ingest(hour, rows);
+    last_data_hour_ = std::max(last_data_hour_, hour);
   }
-  applied_seq_ = record.seq + 1;
-  last_applied_day_ =
-      std::max(last_applied_day_, util::DayIndex(record.hour));
+  applied_seq_ = seq + 1;
+  last_applied_day_ = std::max(last_applied_day_, util::DayIndex(hour));
+}
+
+util::Status Replica::ApplyDurable(std::uint64_t seq, JournalRecordKind kind,
+                                   util::HourIndex hour,
+                                   std::span<const pipeline::AggRow> rows) {
+  const bool crossed_day = last_applied_day_ != kNoDay &&
+                           util::DayIndex(hour) > last_applied_day_;
+  Apply(seq, kind, hour, rows);
+  if (crossed_day && config_.snapshot_on_day_boundary) {
+    return CheckpointAfterDayCrossing();
+  }
+  return util::Status::Ok();
 }
 
 util::Status Replica::CheckpointAfterDayCrossing() {
@@ -124,34 +137,13 @@ util::Status Replica::Ingest(util::HourIndex hour,
                              std::span<const pipeline::AggRow> rows) {
   auto seq = journal_.Append(JournalRecordKind::kIngest, hour, rows);
   if (!seq.ok()) return seq.status();
-  JournalRecord record;
-  record.seq = *seq;
-  record.kind = JournalRecordKind::kIngest;
-  record.hour = hour;
-  record.rows.assign(rows.begin(), rows.end());
-  const bool crossed_day = last_applied_day_ != kNoDay &&
-                           util::DayIndex(hour) > last_applied_day_;
-  Apply(record);
-  if (crossed_day && config_.snapshot_on_day_boundary) {
-    return CheckpointAfterDayCrossing();
-  }
-  return util::Status::Ok();
+  return ApplyDurable(*seq, JournalRecordKind::kIngest, hour, rows);
 }
 
 util::Status Replica::Heartbeat(util::HourIndex hour) {
   auto seq = journal_.Append(JournalRecordKind::kHeartbeat, hour, {});
   if (!seq.ok()) return seq.status();
-  JournalRecord record;
-  record.seq = *seq;
-  record.kind = JournalRecordKind::kHeartbeat;
-  record.hour = hour;
-  const bool crossed_day = last_applied_day_ != kNoDay &&
-                           util::DayIndex(hour) > last_applied_day_;
-  Apply(record);
-  if (crossed_day && config_.snapshot_on_day_boundary) {
-    return CheckpointAfterDayCrossing();
-  }
-  return util::Status::Ok();
+  return ApplyDurable(*seq, JournalRecordKind::kHeartbeat, hour, {});
 }
 
 util::Status Replica::IngestBatch(std::span<const JournalRecord> records) {
@@ -169,19 +161,10 @@ util::Status Replica::IngestBatch(std::span<const JournalRecord> records) {
   // exactly as the one-at-a-time path does.
   std::uint64_t seq = journal_.next_seq() - records.size();
   for (const auto& record : records) {
-    JournalRecord stamped;
-    stamped.seq = seq++;
-    stamped.kind = record.kind;
-    stamped.hour = record.hour;
-    stamped.rows = record.rows;
-    const bool crossed_day =
-        last_applied_day_ != kNoDay &&
-        util::DayIndex(record.hour) > last_applied_day_;
-    Apply(stamped);
-    if (crossed_day && config_.snapshot_on_day_boundary) {
-      if (auto status = CheckpointAfterDayCrossing(); !status.ok()) {
-        return status;
-      }
+    if (auto status =
+            ApplyDurable(seq++, record.kind, record.hour, record.rows);
+        !status.ok()) {
+      return status;
     }
   }
   return util::Status::Ok();

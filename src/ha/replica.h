@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/online.h"
@@ -182,10 +183,19 @@ class Replica {
       : retrainer_(std::move(retrainer)), journal_(std::move(journal)),
         config_(std::move(config)) {}
 
-  void Apply(const JournalRecord& record);
-  // Day-boundary bookkeeping shared by Ingest/Heartbeat/IngestBatch:
-  // snapshot (and optionally compact) when the applied record crossed a
-  // day boundary.
+  // Folds one record into the retrainer. The rows are read in place: the
+  // write path passes the caller's span, replay the recovered record's.
+  void Apply(std::uint64_t seq, JournalRecordKind kind,
+             util::HourIndex hour, std::span<const pipeline::AggRow> rows);
+  void Apply(const JournalRecord& record) {
+    Apply(record.seq, record.kind, record.hour, record.rows);
+  }
+  // The write path's apply, shared by Ingest/Heartbeat/IngestBatch:
+  // applies a durable record, then snapshots (and optionally compacts)
+  // when it crossed a day boundary.
+  [[nodiscard]] util::Status ApplyDurable(
+      std::uint64_t seq, JournalRecordKind kind, util::HourIndex hour,
+      std::span<const pipeline::AggRow> rows);
   [[nodiscard]] util::Status CheckpointAfterDayCrossing();
 
   core::DailyRetrainer retrainer_;

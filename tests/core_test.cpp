@@ -609,12 +609,14 @@ TEST(HistoricalModel, ShardedAddMatchesSerialAddBitIdentically) {
   for (const auto& row : rows) serial.Add(row);
   serial.Finalize();
 
-  HistoricalModel sharded(FeatureSet::kAP);
-  sharded.EnsureShards(4);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    sharded.AddToShard(i % 4, rows[i]);
-  }
-  sharded.Finalize();
+  // Rows dealt round-robin to four partial count tables, merged in
+  // order: the sums are exact, and ranking depends only on the summed
+  // (bytes, link) pairs, so the model equals the serial one.
+  std::vector<core::TupleCountTable> shards(
+      4, core::TupleCountTable(FeatureSet::kAP));
+  for (std::size_t i = 0; i < rows.size(); ++i) shards[i % 4].Add(rows[i]);
+  for (std::size_t i = 1; i < shards.size(); ++i) shards[0].Merge(shards[i]);
+  const auto sharded = HistoricalModel::FromCounts(16, shards[0]);
 
   ExpectExportsEqual(serial.ExportTable(), sharded.ExportTable());
 }

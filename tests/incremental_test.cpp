@@ -10,8 +10,12 @@
 // report exactly the same ServiceHealth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "core/tipsy_service.h"
 #include "ha/snapshot.h"
 #include "topo/generator.h"
+#include "util/checksum.h"
 #include "util/status.h"
 
 namespace tipsy {
@@ -244,6 +249,361 @@ TEST(DayShard, BuildMatchesIncrementalAddRows) {
   EXPECT_TRUE(built.tables.al.SameCounts(incremental.tables.al));
 }
 
+// ------------------------------------------- flat count table lockstep
+//
+// The flat TupleCountTable against a reference written with ordered maps
+// and today's semantics: first-occurrence link order, zero-byte rows
+// still create a link, Subtract erases links and tuples that drain to 0
+// and changes nothing when it fails, Decay floor-halves and drops what
+// reaches 0.
+
+struct RefTuple {
+  std::uint64_t total = 0;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> links;  // in order
+};
+using RefKey = std::pair<std::uint64_t, std::uint64_t>;
+
+struct RefTable {
+  core::FeatureSet fs = core::FeatureSet::kA;
+  std::map<RefKey, RefTuple> tuples;
+
+  static void AddLink(RefTuple& tuple, std::uint32_t link,
+                      std::uint64_t bytes) {
+    for (auto& [l, b] : tuple.links) {
+      if (l == link) {
+        b += bytes;
+        return;
+      }
+    }
+    tuple.links.emplace_back(link, bytes);
+  }
+  void Add(const pipeline::AggRow& row) {
+    const core::FlowFeatures flow{row.src_asn, row.src_prefix24,
+                                  row.src_metro, row.dest_region,
+                                  row.dest_service};
+    if (!core::HasFeatures(fs, flow)) return;
+    const auto key = core::MakeTupleKey(fs, flow);
+    RefTuple& tuple = tuples[{key.hi, key.lo}];
+    tuple.total += row.bytes;
+    AddLink(tuple, row.link.value(), row.bytes);
+  }
+  void Merge(const RefTable& other) {
+    for (const auto& [key, incoming] : other.tuples) {
+      RefTuple& tuple = tuples[key];
+      tuple.total += incoming.total;
+      for (const auto& [link, bytes] : incoming.links) {
+        AddLink(tuple, link, bytes);
+      }
+    }
+  }
+  bool Subtract(const RefTable& other) {
+    for (const auto& [key, incoming] : other.tuples) {
+      const auto it = tuples.find(key);
+      if (it == tuples.end() || it->second.total < incoming.total) {
+        return false;
+      }
+      for (const auto& [link, bytes] : incoming.links) {
+        const auto& links = it->second.links;
+        const auto l = std::find_if(links.begin(), links.end(),
+                                    [&](const auto& lb) {
+                                      return lb.first == link;
+                                    });
+        if (l == links.end() || l->second < bytes) return false;
+      }
+    }
+    for (const auto& [key, incoming] : other.tuples) {
+      RefTuple& tuple = tuples[key];
+      tuple.total -= incoming.total;
+      for (const auto& [link, bytes] : incoming.links) {
+        auto l = std::find_if(tuple.links.begin(), tuple.links.end(),
+                              [&](const auto& lb) {
+                                return lb.first == link;
+                              });
+        l->second -= bytes;
+        if (l->second == 0) tuple.links.erase(l);
+      }
+      if (tuple.total == 0 && tuple.links.empty()) tuples.erase(key);
+    }
+    return true;
+  }
+  void Decay(int generations) {
+    if (generations <= 0) return;
+    const int shift = std::min(generations, 53);
+    for (auto it = tuples.begin(); it != tuples.end();) {
+      std::uint64_t total = 0;
+      auto& links = it->second.links;
+      for (auto l = links.begin(); l != links.end();) {
+        l->second >>= shift;
+        if (l->second == 0) {
+          l = links.erase(l);
+        } else {
+          total += l->second;
+          ++l;
+        }
+      }
+      it->second.total = total;
+      it = links.empty() ? tuples.erase(it) : std::next(it);
+    }
+  }
+  [[nodiscard]] std::size_t link_count() const {
+    std::size_t count = 0;
+    for (const auto& [key, tuple] : tuples) count += tuple.links.size();
+    return count;
+  }
+};
+
+// Bit-exact equality of a table's export with the reference, link order
+// included, plus the size counters and the arena bound.
+void ExpectMatchesReference(const core::TupleCountTable& table,
+                            const RefTable& ref) {
+  const auto exported = table.Export();
+  ASSERT_EQ(exported.size(), ref.tuples.size());
+  EXPECT_EQ(table.tuple_count(), ref.tuples.size());
+  EXPECT_EQ(table.link_count(), ref.link_count());
+  EXPECT_LE(table.arena_size(), 2 * table.link_count());
+  auto it = ref.tuples.begin();
+  for (const auto& entry : exported) {
+    ASSERT_EQ(entry.key, (core::TupleKey{it->first.first, it->first.second}));
+    EXPECT_EQ(entry.total_bytes, static_cast<double>(it->second.total));
+    ASSERT_EQ(entry.links.size(), it->second.links.size());
+    for (std::size_t l = 0; l < entry.links.size(); ++l) {
+      EXPECT_EQ(entry.links[l].link.value(), it->second.links[l].first);
+      EXPECT_EQ(entry.links[l].bytes,
+                static_cast<double>(it->second.links[l].second));
+    }
+    ++it;
+  }
+}
+
+// The served form against the reference: ranked by bytes desc then link
+// asc, truncated, p = bytes / total.
+void ExpectRankMatchesReference(const core::TupleCountTable& table,
+                                const RefTable& ref, std::size_t max_links) {
+  const auto exported =
+      core::HistoricalModel::FromCounts(max_links, table).ExportTable();
+  ASSERT_EQ(exported.size(), ref.tuples.size());
+  auto it = ref.tuples.begin();
+  for (const auto& tuple : exported) {
+    auto ranked = it->second.links;
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
+    });
+    if (ranked.size() > max_links) ranked.resize(max_links);
+    EXPECT_EQ(tuple.total_bytes, static_cast<double>(it->second.total));
+    ASSERT_EQ(tuple.ranked.size(), ranked.size());
+    for (std::size_t l = 0; l < ranked.size(); ++l) {
+      EXPECT_EQ(tuple.ranked[l].first.value(), ranked[l].first);
+      EXPECT_EQ(tuple.ranked[l].second, static_cast<double>(ranked[l].second));
+    }
+    ++it;
+  }
+}
+
+// Source ASes whose `fs` keys (prefix 0.0.0.0/24, metro 0, region 0,
+// web) share their low 10 hash bits, so they pile into one probe chain at
+// every capacity up to 1024 buckets and exercise backward-shift deletion
+// inside a long run.
+pipeline::AggRow ChainRow(std::uint32_t asn) {
+  pipeline::AggRow row;
+  row.src_asn = util::AsId{asn};
+  row.src_prefix24 = util::Ipv4Prefix(util::Ipv4Addr(0), 24);
+  row.src_metro = util::MetroId{0};
+  row.dest_region = util::RegionId{0};
+  row.dest_service = wan::ServiceType::kWeb;
+  return row;
+}
+
+std::vector<std::uint32_t> CollidingAsns(core::FeatureSet fs,
+                                         std::size_t count) {
+  std::vector<std::uint32_t> asns;
+  std::optional<std::size_t> home;
+  for (std::uint32_t asn = 5000; asns.size() < count; ++asn) {
+    const auto row = ChainRow(asn);
+    const core::FlowFeatures flow{row.src_asn, row.src_prefix24,
+                                  row.src_metro, row.dest_region,
+                                  row.dest_service};
+    const std::size_t hash =
+        core::TupleKeyHash{}(core::MakeTupleKey(fs, flow)) & 1023;
+    if (!home.has_value()) home = hash;
+    if (hash == *home) asns.push_back(asn);
+  }
+  return asns;
+}
+
+// Random rows over a tuple space wide enough to force several rehashes,
+// with more links per tuple than the serving truncation keeps, zero-byte
+// rows, and rows missing the AP or AL feature (or every feature).
+struct RowSource {
+  RowSource(std::uint64_t seed, core::FeatureSet fs, bool zero_bytes = true)
+      : rng(seed), colliding(CollidingAsns(fs, 40)), zero_bytes(zero_bytes) {}
+
+  pipeline::AggRow Next() {
+    std::uniform_int_distribution<std::uint32_t> pick(0, 99);
+    const std::uint32_t kind = pick(rng);
+    pipeline::AggRow row;
+    if (kind < 25) {
+      // A few chain tuples take most chain rows, and so most links.
+      row = ChainRow(colliding[pick(rng) % (kind < 10 ? 4 : colliding.size())]);
+    } else {
+      row.src_asn = util::AsId{1 + pick(rng) * 7};
+      row.src_prefix24 = util::Ipv4Prefix(
+          util::Ipv4Addr((pick(rng) % 40) << 8), kind == 98 ? 16 : 24);
+      row.src_metro =
+          kind == 97 ? util::MetroId{} : util::MetroId{pick(rng) % 6};
+      row.dest_region = util::RegionId{pick(rng) % 3};
+      row.dest_service = pick(rng) % 2 == 0 ? wan::ServiceType::kWeb
+                                            : wan::ServiceType::kStorage;
+      if (kind == 99) row.src_asn = util::AsId{};
+    }
+    row.link = util::LinkId{pick(rng) % 24};
+    row.bytes = zero_bytes && pick(rng) < 12 ? 0 : 1 + rng() % 5'000'000;
+    return row;
+  }
+  std::vector<pipeline::AggRow> Rows(std::size_t n) {
+    std::vector<pipeline::AggRow> rows;
+    for (std::size_t i = 0; i < n; ++i) rows.push_back(Next());
+    return rows;
+  }
+
+  std::mt19937_64 rng;
+  std::vector<std::uint32_t> colliding;
+  bool zero_bytes;
+};
+
+TEST(TupleCountTable, LockstepWithOrderedMapReference) {
+  for (const auto fs :
+       {core::FeatureSet::kA, core::FeatureSet::kAP, core::FeatureSet::kAL}) {
+    SCOPED_TRACE(core::ToString(fs));
+    RowSource source(static_cast<std::uint64_t>(fs) + 11, fs);
+    core::TupleCountTable table(fs);
+    RefTable ref{fs, {}};
+    // Day tables merged into the table so far (they may be subtracted).
+    std::vector<std::pair<core::TupleCountTable, RefTable>> merged;
+    std::size_t most_tuples = 0;
+    std::size_t widest = 0;
+    std::size_t refused = 0;
+    std::uniform_int_distribution<int> op(0, 9);
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      const int choice = op(source.rng);
+      if (choice <= 2) {
+        for (const auto& row : source.Rows(40)) {
+          table.Add(row);
+          ref.Add(row);
+        }
+      } else if (choice <= 4) {
+        core::TupleCountTable day(fs);
+        RefTable day_ref{fs, {}};
+        const auto rows = source.Rows(60);
+        day.AddRows(rows);
+        for (const auto& row : rows) day_ref.Add(row);
+        table.Merge(day);
+        ref.Merge(day_ref);
+        merged.emplace_back(std::move(day), std::move(day_ref));
+      } else if (choice <= 6 && !merged.empty()) {
+        // Valid unless a decay ran since the merge; either way the table
+        // must agree with the reference, and a refusal changes nothing.
+        const std::size_t pick = source.rng() % merged.size();
+        const auto before = table.Export();
+        const bool ok = table.Subtract(merged[pick].first).ok();
+        ASSERT_EQ(ok, ref.Subtract(merged[pick].second));
+        if (!ok) {
+          EXPECT_TRUE(table.Export() == before);
+          ++refused;
+        }
+        merged.erase(merged.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (choice == 7) {
+        // The table plus one more byte is always refused.
+        core::TupleCountTable foreign = table;
+        pipeline::AggRow extra = ChainRow(7);
+        extra.link = util::LinkId{3};
+        extra.bytes = 1;
+        foreign.Add(extra);
+        const auto before = table.Export();
+        EXPECT_EQ(table.Subtract(foreign).code(),
+                  util::StatusCode::kInvalidArgument);
+        EXPECT_TRUE(table.Export() == before);
+        ++refused;
+      } else if (choice == 8) {
+        const int generations = source.rng() % 7 == 0 ? 60 : 1;
+        table.Decay(generations);
+        ref.Decay(generations);
+      } else {
+        table = core::TupleCountTable::FromExport(fs, true, table.Export());
+      }
+      ExpectMatchesReference(table, ref);
+      most_tuples = std::max(most_tuples, table.tuple_count());
+      for (const auto& [key, tuple] : ref.tuples) {
+        widest = std::max(widest, tuple.links.size());
+      }
+      if (step % 50 == 0) {
+        ExpectRankMatchesReference(table, ref, 16);
+        ExpectRankMatchesReference(table, ref, 3);
+      }
+    }
+    // The table grew through several power-of-two capacities (16 buckets
+    // hold 11 tuples), some tuple outgrew the serving truncation, and
+    // subtractions were refused.
+    EXPECT_GT(most_tuples, 11u * 8);
+    EXPECT_GT(widest, 16u);
+    EXPECT_GT(refused, 0u);
+  }
+}
+
+TEST(TupleCountTable, CollidingKeysEraseFromTheMiddleOfAProbeChain) {
+  const auto asns = CollidingAsns(core::FeatureSet::kA, 40);
+  core::TupleCountTable table(core::FeatureSet::kA);
+  RefTable ref{core::FeatureSet::kA, {}};
+  std::vector<core::TupleCountTable> days(
+      4, core::TupleCountTable(core::FeatureSet::kA));
+  std::vector<RefTable> day_refs(4, RefTable{core::FeatureSet::kA, {}});
+  for (std::size_t i = 0; i < asns.size(); ++i) {
+    auto row = ChainRow(asns[i]);
+    row.link = util::LinkId{static_cast<std::uint32_t>(i % 5)};
+    row.bytes = 100 + i;
+    days[i % 4].Add(row);
+    day_refs[i % 4].Add(row);
+  }
+  for (std::size_t d = 0; d < days.size(); ++d) {
+    table.Merge(days[d]);
+    ref.Merge(day_refs[d]);
+  }
+  ExpectMatchesReference(table, ref);
+  // Every fourth key of the chain leaves at a time; the survivors must
+  // still be found behind each hole.
+  for (const std::size_t d : {1u, 3u, 0u}) {
+    ASSERT_TRUE(table.Subtract(days[d]).ok());
+    ASSERT_TRUE(ref.Subtract(day_refs[d]));
+    ExpectMatchesReference(table, ref);
+  }
+  EXPECT_TRUE(table.SameCounts(days[2]));
+}
+
+TEST(TupleCountTable, RollingWindowArenaStaysWithinTwiceItsLiveLinks) {
+  // No zero-byte rows: a zero-byte link drains to 0 when any one day's
+  // share of it is subtracted, so the window would drop a link the
+  // remaining days still hold.
+  RowSource source(60, core::FeatureSet::kAP, /*zero_bytes=*/false);
+  core::TupleCountTable window(core::FeatureSet::kAP);
+  std::deque<core::TupleCountTable> ring;
+  for (int day = 0; day < 60; ++day) {
+    SCOPED_TRACE(day);
+    core::TupleCountTable shard(core::FeatureSet::kAP);
+    shard.AddRows(source.Rows(300));
+    window.Merge(shard);
+    ring.push_back(std::move(shard));
+    if (ring.size() > 7) {
+      ASSERT_TRUE(window.Subtract(ring.front()).ok());
+      ring.pop_front();
+    }
+    EXPECT_LE(window.arena_size(), 2 * window.link_count());
+    core::TupleCountTable fresh(core::FeatureSet::kAP);
+    for (const auto& shard_in_ring : ring) fresh.Merge(shard_in_ring);
+    EXPECT_TRUE(window.SameCounts(fresh));
+  }
+}
+
 // ------------------------------------------- retrainer window edge cases
 
 TEST(IncrementalRetrain, BitIdenticalAtEveryBoundaryThroughWindowTurnover) {
@@ -404,6 +764,34 @@ TEST(IncrementalSnapshot, V1SnapshotRebuildsShardsBitIdentically) {
     EXPECT_TRUE(day.shard_al.empty());
   }
   ContinueBitIdentically(fixture, original, v1, 100);
+}
+
+// Pins the bytes the serving plane persists: the SaveService bundle a
+// retrainer serves after 30 ingested hours (one day boundary, so one
+// retrain, then six hours into the open day), and the encoded snapshot of
+// that retrainer, open day shard included. Each hour also carries a
+// zero-byte row (which still creates a link) and a row whose geolocation
+// missed (no AL tuple). A change to counting, ranking or either encoding
+// moves a CRC.
+TEST(IncrementalSnapshot, BundleAndSnapshotBytesMatchTheRecordedCrcs) {
+  IncrementalFixture fixture;
+  auto retrainer = fixture.MakeRetrainer(/*window_days=*/3, true);
+  const auto links = static_cast<std::uint32_t>(fixture.wan.link_count());
+  for (util::HourIndex h = 0; h < 30; ++h) {
+    auto rows = fixture.HourRows(h);
+    rows.push_back(MakeRow(7, static_cast<std::uint32_t>(h) % links, h, 0));
+    auto geo_miss =
+        MakeRow(8, static_cast<std::uint32_t>(h + 3) % links, h, 900 + h);
+    geo_miss.src_metro = util::MetroId{};
+    rows.push_back(geo_miss);
+    retrainer.Ingest(h, rows);
+  }
+  ASSERT_NE(retrainer.current(), nullptr);
+  ha::SnapshotState state;
+  state.retrainer = retrainer.ExportState();
+  state.applied_seq = 30;
+  EXPECT_EQ(util::Crc32c::Of(ServiceBytes(retrainer.current())), 0xd0c8da1du);
+  EXPECT_EQ(util::Crc32c::Of(ha::EncodeSnapshot(state)), 0x31f03764u);
 }
 
 TEST(IncrementalSnapshot, HostileShardLengthsAreRejectedWithoutAllocating) {

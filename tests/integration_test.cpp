@@ -3,9 +3,13 @@
 // seed.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "cms/cms.h"
 #include "scenario/experiment.h"
 #include "scenario/scenario.h"
+#include "util/checksum.h"
 
 namespace tipsy {
 namespace {
@@ -83,6 +87,42 @@ TEST_P(EndToEndTest, OutageEvaluationWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EndToEndTest,
                          ::testing::Values(42, 1234, 777));
+
+// The paper experiment on the tiny world, configured as perfbench's
+// tiny size (seed 20211110: outage seed +2, IPFIX seed +3, a 28-day
+// horizon), must reproduce the recorded accuracy tables bit for bit. The
+// digest is perfbench's TablesDigest: CRC-32C over every (eval set,
+// model name, top-k accuracy bits) in table order. A refactor that moves
+// any accuracy value, or the row order of a table, fails here.
+TEST(EndToEnd, TinyWorldTablesMatchTheRecordedDigest) {
+  constexpr std::uint64_t kSeed = 20211110;
+  auto cfg = scenario::TinyScenarioConfig();
+  cfg.horizon = util::HourRange{0, 28 * util::kHoursPerDay};
+  cfg.outages.seed = kSeed + 2;
+  cfg.ipfix.seed = kSeed + 3;
+  scenario::Scenario world(cfg);
+  const auto result =
+      scenario::RunExperiment(world, scenario::PaperWindows());
+  const std::pair<const char*, const core::EvalSet*> sets[] = {
+      {"overall", &result.overall},
+      {"outage_all", &result.outage_all},
+      {"outage_seen", &result.outage_seen},
+      {"outage_unseen", &result.outage_unseen}};
+  util::Crc32c crc;
+  for (const auto& [name, eval] : sets) {
+    crc.Update(std::string_view(name));
+    if (eval->empty()) continue;
+    for (const auto& row : scenario::EvaluateSuite(*result.tipsy, *eval)) {
+      crc.Update(row.model);
+      for (const double value : row.accuracy.top) {
+        crc.Update(&value, sizeof(value));
+      }
+    }
+  }
+  char digest[16];
+  std::snprintf(digest, sizeof(digest), "%08x", crc.Digest());
+  EXPECT_EQ(std::string(digest), "efcf7ff9");
+}
 
 TEST(EndToEnd, CmsReducesOverloadDuration) {
   auto cfg = scenario::TinyScenarioConfig();

@@ -1,12 +1,15 @@
-// Serving-core correctness: the flat-table backend must be bit-identical
-// to the legacy hash-map backend in everything it serves, across direct
-// training, export round trips, and snapshot warm-starts; the batched
-// PredictShift must equal the per-flow loop byte for byte; and the epoch
-// swap must let readers predict concurrently with a publisher (the TSan
-// leg of tools/run_sanitized_fuzz.sh runs this binary to prove the swap
-// is race-free without the hot path taking a lock).
+// Serving-core correctness: the flat serving table must serve exactly
+// what a reference B(f, l) table written here from the raw rows serves
+// (ordered-map byte sums, ranked by bytes desc then link asc, truncated,
+// p = bytes / total), across direct training, export round trips, and
+// snapshot warm-starts; the batched PredictShift must equal the per-flow
+// loop byte for byte; and the epoch swap must let readers predict
+// concurrently with a publisher (the TSan leg of
+// tools/run_sanitized_fuzz.sh runs this binary to prove the swap is
+// race-free without the hot path taking a lock).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -15,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/geo_model.h"
 #include "core/historical.h"
 #include "core/online.h"
 #include "core/tipsy_service.h"
@@ -26,7 +30,6 @@ namespace {
 using core::FeatureSet;
 using core::FlowFeatures;
 using core::HistoricalModel;
-using core::ServingBackend;
 
 FlowFeatures MakeFlow(std::uint32_t asn, std::uint32_t prefix_block,
                       std::uint32_t metro, std::uint32_t region = 0,
@@ -78,20 +81,112 @@ std::vector<pipeline::AggRow> RandomWindow(std::uint64_t seed,
   return window;
 }
 
-HistoricalModel TrainModel(FeatureSet fs, ServingBackend backend,
+HistoricalModel TrainModel(FeatureSet fs,
                            const std::vector<pipeline::AggRow>& window,
                            std::size_t max_links = 16) {
-  HistoricalModel model(fs, max_links, /*weight_by_bytes=*/true, backend);
+  HistoricalModel model(fs, max_links, /*weight_by_bytes=*/true);
   for (const auto& row : window) model.Add(row);
   model.Finalize();
   return model;
 }
 
+// The reference Hist model, written from the raw rows with ordered maps
+// and nothing from the count-table code: per tuple, the byte sum of each
+// link; links ranked by bytes desc then link asc and truncated; p(l|f) =
+// B(f, l) / B(f), renormalized over the non-excluded links under a mask.
+class ReferenceModel : public core::Model {
+ public:
+  ReferenceModel(FeatureSet fs, const std::vector<pipeline::AggRow>& rows,
+                 std::size_t max_links = 16)
+      : fs_(fs) {
+    std::map<std::pair<std::uint64_t, std::uint64_t>,
+             std::map<std::uint32_t, std::uint64_t>>
+        sums;
+    for (const auto& row : rows) {
+      const FlowFeatures flow{row.src_asn, row.src_prefix24, row.src_metro,
+                              row.dest_region, row.dest_service};
+      if (!core::HasFeatures(fs, flow)) continue;
+      const auto key = core::MakeTupleKey(fs, flow);
+      sums[{key.hi, key.lo}][row.link.value()] += row.bytes;
+    }
+    for (const auto& [key, links] : sums) {
+      HistoricalModel::TupleExport tuple;
+      tuple.key = core::TupleKey{key.first, key.second};
+      std::uint64_t total = 0;
+      for (const auto& [link, bytes] : links) {
+        total += bytes;
+        tuple.ranked.emplace_back(util::LinkId{link},
+                                  static_cast<double>(bytes));
+      }
+      tuple.total_bytes = static_cast<double>(total);
+      std::sort(tuple.ranked.begin(), tuple.ranked.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.second != b.second) return a.second > b.second;
+                  return a.first < b.first;
+                });
+      if (tuple.ranked.size() > max_links) tuple.ranked.resize(max_links);
+      table_.push_back(std::move(tuple));
+    }
+  }
+
+  // Sorted by (key.hi, key.lo), the order ExportTable() promises.
+  [[nodiscard]] const std::vector<HistoricalModel::TupleExport>& table()
+      const {
+    return table_;
+  }
+  [[nodiscard]] std::size_t tuple_count() const { return table_.size(); }
+
+  [[nodiscard]] bool Knows(const FlowFeatures& flow) const {
+    return Lookup(flow) != nullptr;
+  }
+
+  [[nodiscard]] std::vector<core::Prediction> Predict(
+      const FlowFeatures& flow, std::size_t k,
+      const core::ExclusionMask* excluded) const override {
+    std::vector<core::Prediction> out;
+    const auto* tuple = Lookup(flow);
+    if (tuple == nullptr || k == 0) return out;
+    double denominator = tuple->total_bytes;
+    if (excluded != nullptr) {
+      denominator = 0.0;
+      for (const auto& [link, bytes] : tuple->ranked) {
+        if (!core::IsExcluded(excluded, link)) denominator += bytes;
+      }
+    }
+    if (denominator <= 0.0) return out;
+    for (const auto& [link, bytes] : tuple->ranked) {
+      if (core::IsExcluded(excluded, link)) continue;
+      out.push_back(core::Prediction{link, bytes / denominator});
+      if (out.size() == k) break;
+    }
+    return out;
+  }
+  [[nodiscard]] std::string name() const override { return "reference"; }
+  [[nodiscard]] std::size_t MemoryFootprintBytes() const override {
+    return 0;
+  }
+
+ private:
+  [[nodiscard]] const HistoricalModel::TupleExport* Lookup(
+      const FlowFeatures& flow) const {
+    if (!core::HasFeatures(fs_, flow)) return nullptr;
+    const auto key = core::MakeTupleKey(fs_, flow);
+    const auto it = std::lower_bound(
+        table_.begin(), table_.end(), key, [](const auto& tuple, const auto& k) {
+          if (tuple.key.hi != k.hi) return tuple.key.hi < k.hi;
+          return tuple.key.lo < k.lo;
+        });
+    return it != table_.end() && it->key == key ? &*it : nullptr;
+  }
+
+  FeatureSet fs_;
+  std::vector<HistoricalModel::TupleExport> table_;
+};
+
 // Exact (bit-level) equality of two export tables.
-void ExpectExportsIdentical(const HistoricalModel& flat,
-                            const HistoricalModel& legacy) {
-  const auto a = flat.ExportTable();
-  const auto b = legacy.ExportTable();
+void ExpectExportsIdentical(
+    const std::vector<HistoricalModel::TupleExport>& a,
+    const std::vector<HistoricalModel::TupleExport>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(a[i].key == b[i].key) << "entry " << i;
@@ -103,12 +198,20 @@ void ExpectExportsIdentical(const HistoricalModel& flat,
     }
   }
 }
+void ExpectExportsIdentical(const HistoricalModel& flat,
+                            const ReferenceModel& reference) {
+  ExpectExportsIdentical(flat.ExportTable(), reference.table());
+}
+void ExpectExportsIdentical(const HistoricalModel& a,
+                            const HistoricalModel& b) {
+  ExpectExportsIdentical(a.ExportTable(), b.ExportTable());
+}
 
-// Exact equality of Predict and PredictInto across the two models for a
+// Exact equality of Predict and PredictInto against the reference for a
 // query stream of seen, unseen and unkeyable flows, with and without
 // exclusions.
 void ExpectPredictionsIdentical(const HistoricalModel& flat,
-                                const HistoricalModel& legacy,
+                                const ReferenceModel& reference,
                                 std::uint64_t seed) {
   std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);
   std::uniform_int_distribution<std::uint32_t> asn(1, 16);  // some unseen
@@ -122,9 +225,9 @@ void ExpectPredictionsIdentical(const HistoricalModel& flat,
     if (q % 17 == 0) flow.src_metro = util::MetroId{};  // unkeyable for AL
     const auto* mask = q % 3 == 0 ? &excluded : nullptr;
     const std::size_t k = 1 + q % 5;
-    EXPECT_EQ(flat.Knows(flow), legacy.Knows(flow));
+    EXPECT_EQ(flat.Knows(flow), reference.Knows(flow));
     const auto a = flat.Predict(flow, k, mask);
-    const auto b = legacy.Predict(flow, k, mask);
+    const auto b = reference.Predict(flow, k, mask);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].link, b[i].link);
@@ -140,53 +243,49 @@ void ExpectPredictionsIdentical(const HistoricalModel& flat,
   }
 }
 
-// ------------------------------------------------- flat vs legacy backend
+// ------------------------------------- flat table vs the raw-row reference
+//
+// "Legacy" in these names is the reference written above from the raw
+// rows; it replaced the map-served backend these tests once diffed.
 
 TEST(ServingCore, FlatAndLegacyBitIdenticalOverRandomWindows) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
     const auto window = RandomWindow(seed);
     for (const auto fs :
          {FeatureSet::kA, FeatureSet::kAP, FeatureSet::kAL}) {
-      const auto flat = TrainModel(fs, ServingBackend::kFlat, window);
-      const auto legacy =
-          TrainModel(fs, ServingBackend::kLegacyMap, window);
-      ASSERT_EQ(flat.tuple_count(), legacy.tuple_count());
+      const auto flat = TrainModel(fs, window);
+      const ReferenceModel reference(fs, window);
+      ASSERT_EQ(flat.tuple_count(), reference.tuple_count());
       EXPECT_NE(flat.flat_table(), nullptr);
-      EXPECT_EQ(legacy.flat_table(), nullptr);
-      ExpectExportsIdentical(flat, legacy);
-      ExpectPredictionsIdentical(flat, legacy, seed);
+      ExpectExportsIdentical(flat, reference);
+      ExpectPredictionsIdentical(flat, reference, seed);
     }
   }
 }
 
 TEST(ServingCore, TruncationIdenticalAcrossBackends) {
-  // A small max_links_per_tuple forces the ranking truncation path; both
-  // backends must keep exactly the same survivors.
+  // A small max_links_per_tuple forces the ranking truncation path; the
+  // flat table must keep exactly the reference's survivors.
   const auto window = RandomWindow(99, /*rows=*/800);
   for (const auto fs : {FeatureSet::kA, FeatureSet::kAL}) {
-    const auto flat = TrainModel(fs, ServingBackend::kFlat, window,
-                                 /*max_links=*/3);
-    const auto legacy = TrainModel(fs, ServingBackend::kLegacyMap, window,
-                                   /*max_links=*/3);
-    ExpectExportsIdentical(flat, legacy);
-    ExpectPredictionsIdentical(flat, legacy, 99);
+    const auto flat = TrainModel(fs, window, /*max_links=*/3);
+    const ReferenceModel reference(fs, window, /*max_links=*/3);
+    ExpectExportsIdentical(flat, reference);
+    ExpectPredictionsIdentical(flat, reference, 99);
   }
 }
 
 TEST(ServingCore, FromExportRoundTripRebuildsFlatTable) {
   const auto window = RandomWindow(5);
-  const auto trained =
-      TrainModel(FeatureSet::kAL, ServingBackend::kFlat, window);
+  const auto trained = TrainModel(FeatureSet::kAL, window);
   const auto exported = trained.ExportTable();
 
-  const auto flat = HistoricalModel::FromExport(
-      FeatureSet::kAL, 16, true, exported, ServingBackend::kFlat);
-  const auto legacy = HistoricalModel::FromExport(
-      FeatureSet::kAL, 16, true, exported, ServingBackend::kLegacyMap);
+  const auto flat =
+      HistoricalModel::FromExport(FeatureSet::kAL, 16, true, exported);
+  const ReferenceModel reference(FeatureSet::kAL, window);
   EXPECT_NE(flat.flat_table(), nullptr);
-  EXPECT_EQ(legacy.flat_table(), nullptr);
-  ExpectExportsIdentical(flat, legacy);
-  ExpectPredictionsIdentical(flat, legacy, 5);
+  ExpectExportsIdentical(flat, reference);
+  ExpectPredictionsIdentical(flat, reference, 5);
 
   // And the round trip itself is lossless: re-export equals the original.
   const auto reexported = flat.ExportTable();
@@ -200,8 +299,7 @@ TEST(ServingCore, FromExportRoundTripRebuildsFlatTable) {
 
 TEST(ServingCore, FlatTableExposesBuildDiagnostics) {
   const auto window = RandomWindow(11);
-  const auto model =
-      TrainModel(FeatureSet::kAP, ServingBackend::kFlat, window);
+  const auto model = TrainModel(FeatureSet::kAP, window);
   const core::FlatTupleTable* table = model.flat_table();
   ASSERT_NE(table, nullptr);
   EXPECT_EQ(table->size(), model.tuple_count());
@@ -233,18 +331,54 @@ struct ServiceFixture {
     return rows;
   }
 
+  // Every row TrainService(days) trains on, in training order.
+  [[nodiscard]] std::vector<pipeline::AggRow> TrainingRows(
+      int days = 3) const {
+    std::vector<pipeline::AggRow> rows;
+    for (util::HourIndex hour = 0; hour < days * util::kHoursPerDay;
+         ++hour) {
+      const auto hour_rows = HourRows(hour);
+      rows.insert(rows.end(), hour_rows.begin(), hour_rows.end());
+    }
+    return rows;
+  }
+
   [[nodiscard]] std::shared_ptr<core::TipsyService> TrainService(
-      ServingBackend backend, int days = 3) const {
-    core::TipsyConfig config;
-    config.serving_backend = backend;
-    auto service = std::make_shared<core::TipsyService>(
-        &wan, &topology.metros, config);
+      int days = 3) const {
+    auto service =
+        std::make_shared<core::TipsyService>(&wan, &topology.metros);
     for (util::HourIndex hour = 0; hour < days * util::kHoursPerDay;
          ++hour) {
       service->Train(HourRows(hour));
     }
     service->FinalizeTraining();
     return service;
+  }
+
+  // The reference PredictShift: Best() is Hist_AL+G, so the geographic
+  // augmentation runs over the reference AL table, and each flow's bytes
+  // spread over its predictions in flow order into an ordered map.
+  [[nodiscard]] core::TipsyService::ShiftPrediction ReferenceShift(
+      const std::vector<core::TipsyService::ShiftQueryFlow>& flows,
+      const core::ExclusionMask& excluded, std::size_t k) const {
+    const ReferenceModel al(FeatureSet::kAL, TrainingRows());
+    const core::GeoAugmentedModel best(&al, &wan, &topology.metros);
+    std::map<util::LinkId, double> shifted;
+    core::TipsyService::ShiftPrediction out;
+    for (const auto& flow : flows) {
+      const auto predictions = best.Predict(flow.flow, k, &excluded);
+      double total_probability = 0.0;
+      for (const auto& p : predictions) total_probability += p.probability;
+      if (predictions.empty() || total_probability <= 0.0) {
+        out.unpredicted_bytes += flow.bytes;
+        continue;
+      }
+      for (const auto& p : predictions) {
+        shifted[p.link] += flow.bytes * (p.probability / total_probability);
+      }
+    }
+    out.shifted.assign(shifted.begin(), shifted.end());
+    return out;
   }
 
   [[nodiscard]] std::vector<core::TipsyService::ShiftQueryFlow> QueryFlows()
@@ -275,48 +409,53 @@ struct ServiceFixture {
 TEST(ServingCore, BatchedPredictShiftMatchesPerFlowLoop) {
   ServiceFixture fixture;
   const auto flows = fixture.QueryFlows();
-  for (const auto backend :
-       {ServingBackend::kFlat, ServingBackend::kLegacyMap}) {
-    const auto service = fixture.TrainService(backend);
-    core::ExclusionMask excluded(fixture.wan.link_count(), false);
-    if (!excluded.empty()) excluded[0] = true;
-    for (const std::size_t k : {1u, 3u, 8u}) {
-      const auto batched = service->PredictShift(flows, excluded, k);
-      // The naive loop: one single-flow batch per flow, accumulated per
-      // link in flow order - exactly the contract the batched path
-      // promises to reproduce bit for bit.
-      std::map<util::LinkId, double> expected;
-      double expected_unpredicted = 0.0;
-      for (const auto& flow : flows) {
-        const auto one =
-            service->PredictShift(std::span(&flow, 1), excluded, k);
-        for (const auto& [link, bytes] : one.shifted) {
-          expected[link] += bytes;
-        }
-        expected_unpredicted += one.unpredicted_bytes;
+  const auto service = fixture.TrainService();
+  // The served tables are the reference's, built from the same rows.
+  for (const auto fs : {FeatureSet::kA, FeatureSet::kAP, FeatureSet::kAL}) {
+    ExpectExportsIdentical(service->hist(fs),
+                           ReferenceModel(fs, fixture.TrainingRows()));
+  }
+  core::ExclusionMask excluded(fixture.wan.link_count(), false);
+  if (!excluded.empty()) excluded[0] = true;
+  for (const std::size_t k : {1u, 3u, 8u}) {
+    const auto batched = service->PredictShift(flows, excluded, k);
+    // The naive loop: one single-flow batch per flow, accumulated per
+    // link in flow order - exactly the contract the batched path
+    // promises to reproduce bit for bit.
+    std::map<util::LinkId, double> expected;
+    double expected_unpredicted = 0.0;
+    for (const auto& flow : flows) {
+      const auto one =
+          service->PredictShift(std::span(&flow, 1), excluded, k);
+      for (const auto& [link, bytes] : one.shifted) {
+        expected[link] += bytes;
       }
-      EXPECT_EQ(batched.unpredicted_bytes, expected_unpredicted);
-      ASSERT_EQ(batched.shifted.size(), expected.size());
-      auto it = expected.begin();
-      for (const auto& [link, bytes] : batched.shifted) {
-        EXPECT_EQ(link, it->first);       // sorted by link id
-        EXPECT_EQ(bytes, it->second);     // bit-exact accumulation
-        EXPECT_EQ(batched.BytesFor(link), bytes);
-        ++it;
-      }
-      EXPECT_EQ(batched.BytesFor(util::LinkId{0}), 0.0);  // excluded link
+      expected_unpredicted += one.unpredicted_bytes;
     }
+    EXPECT_EQ(batched.unpredicted_bytes, expected_unpredicted);
+    ASSERT_EQ(batched.shifted.size(), expected.size());
+    auto it = expected.begin();
+    for (const auto& [link, bytes] : batched.shifted) {
+      EXPECT_EQ(link, it->first);       // sorted by link id
+      EXPECT_EQ(bytes, it->second);     // bit-exact accumulation
+      EXPECT_EQ(batched.BytesFor(link), bytes);
+      ++it;
+    }
+    EXPECT_EQ(batched.BytesFor(util::LinkId{0}), 0.0);  // excluded link
+    // And both equal the shift computed from the raw-row reference.
+    const auto reference = fixture.ReferenceShift(flows, excluded, k);
+    EXPECT_EQ(batched.unpredicted_bytes, reference.unpredicted_bytes);
+    EXPECT_EQ(batched.shifted, reference.shifted);
   }
 }
 
 TEST(ServingCore, FlatAndLegacyServicesShiftIdentically) {
   ServiceFixture fixture;
-  const auto flat = fixture.TrainService(ServingBackend::kFlat);
-  const auto legacy = fixture.TrainService(ServingBackend::kLegacyMap);
+  const auto flat = fixture.TrainService();
   const auto flows = fixture.QueryFlows();
   const core::ExclusionMask excluded(fixture.wan.link_count(), false);
   const auto a = flat->PredictShift(flows, excluded, 3);
-  const auto b = legacy->PredictShift(flows, excluded, 3);
+  const auto b = fixture.ReferenceShift(flows, excluded, 3);
   EXPECT_EQ(a.unpredicted_bytes, b.unpredicted_bytes);
   ASSERT_EQ(a.shifted.size(), b.shifted.size());
   for (std::size_t i = 0; i < a.shifted.size(); ++i) {
@@ -328,7 +467,7 @@ TEST(ServingCore, FlatAndLegacyServicesShiftIdentically) {
 
 TEST(ServingCore, PredictShiftNoMetricsMatchesInstrumented) {
   ServiceFixture fixture;
-  const auto service = fixture.TrainService(ServingBackend::kFlat);
+  const auto service = fixture.TrainService();
   const auto flows = fixture.QueryFlows();
   const core::ExclusionMask excluded(fixture.wan.link_count(), false);
   const auto instrumented = service->PredictShift(flows, excluded, 3);
@@ -402,8 +541,8 @@ TEST(ServingCore, RetrainerPublishesToAttachedEpoch) {
 // tools/tsan.supp to silence that one library-internal report.)
 TEST(ServingCoreTsan, EpochSwapUnderConcurrentReaders) {
   ServiceFixture fixture;
-  const auto model_a = fixture.TrainService(ServingBackend::kFlat, 2);
-  const auto model_b = fixture.TrainService(ServingBackend::kFlat, 3);
+  const auto model_a = fixture.TrainService(2);
+  const auto model_b = fixture.TrainService(3);
   const auto flows = fixture.QueryFlows();
   const core::ExclusionMask excluded(fixture.wan.link_count(), false);
 
